@@ -53,7 +53,7 @@ std::string read_file(const std::string& path) {
 }
 
 bool looks_like_severity_csv(const std::string& text) {
-  return ats::starts_with(text, "property,call_path,location,severity_sec");
+  return ats::starts_with(text, ats::kSeverityCsvHeader);
 }
 
 /// Loads one side: severity CSV as-is, anything else as an ATS trace that

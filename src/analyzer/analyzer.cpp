@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <numeric>
 #include <set>
 #include <unordered_map>
 
@@ -27,7 +28,10 @@ std::bitset<kPropertyCount> AnalyzerOptions::disabled_mask() const {
 // ------------------------------------------------------------ SeverityCube
 
 SeverityCube::SeverityCube(std::size_t nlocs)
-    : nlocs_(nlocs), cells_(kPropertyCount), index_(kPropertyCount) {}
+    : nlocs_(nlocs),
+      cells_(kPropertyCount),
+      index_(kPropertyCount),
+      zeros_(nlocs, VDur::zero()) {}
 
 const SeverityCube::Cell* SeverityCube::find_cell(PropertyId p,
                                                   NodeId n) const {
@@ -91,26 +95,29 @@ std::vector<NodeId> SeverityCube::nodes_of(PropertyId p) const {
   return out;
 }
 
-std::vector<VDur> SeverityCube::locations_of(PropertyId p, NodeId n) const {
+std::span<const VDur> SeverityCube::locations_of(PropertyId p,
+                                                NodeId n) const {
   const Cell* cell = find_cell(p, n);
-  if (cell) return cell->per_loc;
-  return std::vector<VDur>(nlocs_, VDur::zero());
+  return cell ? cell->per_loc : zeros_;
 }
 
 void SeverityCube::for_each(
     const std::function<void(PropertyId, NodeId, trace::LocId, VDur)>& fn)
     const {
+  std::vector<std::uint32_t> order;
   for (PropertyId p : property_preorder()) {
-    std::vector<NodeId> order;
-    for (const auto& cell : cells_[static_cast<std::size_t>(p)]) {
-      order.push_back(cell.node);
-    }
-    std::sort(order.begin(), order.end());
-    for (NodeId n : order) {
-      const Cell* cell = find_cell(p, n);
-      for (std::size_t l = 0; l < cell->per_loc.size(); ++l) {
-        if (cell->per_loc[l] <= VDur::zero()) continue;
-        fn(p, n, static_cast<trace::LocId>(l), cell->per_loc[l]);
+    const auto& list = cells_[static_cast<std::size_t>(p)];
+    order.resize(list.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t x, std::uint32_t y) {
+                return list[x].node < list[y].node;
+              });
+    for (std::uint32_t i : order) {
+      const Cell& cell = list[i];
+      for (std::size_t l = 0; l < cell.per_loc.size(); ++l) {
+        if (cell.per_loc[l] <= VDur::zero()) continue;
+        fn(p, cell.node, static_cast<trace::LocId>(l), cell.per_loc[l]);
       }
     }
   }

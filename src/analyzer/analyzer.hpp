@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -40,8 +41,9 @@ class SeverityCube {
   VDur subtree_total(PropertyId p) const;
   /// Nodes with non-zero severity for `p`, in node order.
   std::vector<NodeId> nodes_of(PropertyId p) const;
-  /// Per-location severities for (property, node).
-  std::vector<VDur> locations_of(PropertyId p, NodeId n) const;
+  /// Per-location severities for (property, node), one per location (all
+  /// zero when the cell is absent).  Valid while the cube is unchanged.
+  std::span<const VDur> locations_of(PropertyId p, NodeId n) const;
 
   /// Visits every positive (property, node, location) cell in the *stable
   /// report order* — property pre-order, then node id ascending, then
@@ -70,6 +72,7 @@ class SeverityCube {
   // one severity entry per *event*, so without the index add() is a linear
   // scan per event (O(cells) each) on hot traces.
   std::vector<std::unordered_map<NodeId, std::uint32_t>> index_;
+  std::vector<VDur> zeros_;  // locations_of() of an absent cell
 };
 
 /// One ranked result: a leaf wait-state with its total severity.

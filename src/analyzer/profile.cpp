@@ -115,6 +115,24 @@ std::string CallPathProfile::path_string(NodeId n,
   return out;
 }
 
+std::vector<std::string> CallPathProfile::path_strings(
+    const trace::Trace& trace) const {
+  std::vector<std::string> out(nodes_.size());
+  out[kRootNode] = "<root>";
+  // child() numbers nodes in creation order, so a parent's id is always
+  // below its child's and the parent's path is ready when the child needs it.
+  for (std::size_t i = 1; i < nodes_.size(); ++i) {
+    const CpNode& nd = nodes_[i];
+    std::string& path = out[i];
+    if (nd.parent != kRootNode) {
+      path = out[static_cast<std::size_t>(nd.parent)];
+      path += " > ";
+    }
+    path += trace.regions().info(nd.region).name;
+  }
+  return out;
+}
+
 void CallPathProfile::preorder(
     const std::function<void(NodeId, int)>& visit) const {
   std::function<void(NodeId, int)> walk = [&](NodeId n, int depth) {

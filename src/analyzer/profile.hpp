@@ -52,6 +52,8 @@ class CallPathProfile {
 
   /// "a > b > c" path rendering using the trace's region names.
   std::string path_string(NodeId n, const trace::Trace& trace) const;
+  /// path_string of every node, indexed by NodeId, built in one pass.
+  std::vector<std::string> path_strings(const trace::Trace& trace) const;
   /// Region name of the node itself ("<root>" for the root).
   std::string name_of(NodeId n, const trace::Trace& trace) const;
 

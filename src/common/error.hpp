@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace ats {
 
@@ -58,7 +59,10 @@ class TraceError : public Error {
   explicit TraceError(const std::string& what) : Error(what) {}
 };
 
-/// Throws UsageError with `what` if `cond` is false.
-void require(bool cond, const std::string& what);
+/// Throws UsageError with `what` if `cond` is false.  Takes a string_view so
+/// a passing check on a hot path builds no std::string from its literal.
+inline void require(bool cond, std::string_view what) {
+  if (!cond) [[unlikely]] throw UsageError(std::string(what));
+}
 
 }  // namespace ats

@@ -19,11 +19,24 @@ std::string pad_right(std::string_view s, std::size_t width);
 /// Pads `s` on the left to at least `width` characters.
 std::string pad_left(std::string_view s, std::size_t width);
 
-/// printf-style double with fixed precision.
+/// printf-style double with fixed precision ("%.*f" byte for byte, at any
+/// magnitude).
 std::string fmt_double(double v, int precision = 3);
 
 /// Percent rendering ("12.3%"); `frac` is a fraction of one.
 std::string fmt_percent(double frac, int precision = 1);
+
+/// The severity CSV schema (docs/DIFF.md): this header line, then one
+/// append_severity_row per cell in SeverityCube::for_each order.  Both
+/// report::severity_csv and diff::Snapshot::severity_csv write it through
+/// these two, so their bytes cannot drift apart.
+inline constexpr std::string_view kSeverityCsvHeader =
+    "property,call_path,location,severity_sec";
+
+/// Appends "property,call_path,location,<seconds to 9 decimals>\n".
+void append_severity_row(std::string& out, std::string_view property,
+                         std::string_view call_path, std::string_view location,
+                         double seconds);
 
 /// True if `s` starts with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);

@@ -1,6 +1,7 @@
 #include "diff/diff.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -18,12 +19,56 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kCsvHeader = "property,call_path,location,severity_sec";
+/// A cell's identity: its three name ids in one shared string table.
+struct CellKey {
+  std::uint32_t property, call_path, location;
+  bool operator==(const CellKey&) const = default;
+};
 
-std::string cell_key(const std::string& property, const std::string& path,
-                     const std::string& location) {
-  return property + "\x1f" + path + "\x1f" + location;
-}
+/// Values by cell identity, in first-insertion order.  Open addressing over
+/// a power-of-two table of positions, kept at most half full for the
+/// `max_cells` keys the caller may insert, so adding a cell allocates no
+/// node and a lookup is a hash and a short probe.
+template <class T>
+class CellTable {
+ public:
+  explicit CellTable(std::size_t max_cells)
+      : mask_(std::bit_ceil(2 * max_cells + 1) - 1), slots_(mask_ + 1, kEmpty) {
+    keys_.reserve(max_cells);
+    values_.reserve(max_cells);
+  }
+
+  /// The value for `key`, value-initialised on first use.
+  T& operator[](const CellKey& key) {
+    std::size_t i = hash(key) & mask_;
+    while (slots_[i] != kEmpty && keys_[slots_[i]] != key) i = (i + 1) & mask_;
+    if (slots_[i] == kEmpty) {
+      slots_[i] = static_cast<std::uint32_t>(keys_.size());
+      keys_.push_back(key);
+      values_.emplace_back();
+    }
+    return values_[slots_[i]];
+  }
+
+  std::size_t size() const { return keys_.size(); }
+  const CellKey& key(std::size_t i) const { return keys_[i]; }
+  const T& value(std::size_t i) const { return values_[i]; }
+
+ private:
+  static constexpr std::uint32_t kEmpty = UINT32_MAX;
+
+  static std::size_t hash(const CellKey& k) {
+    std::uint64_t h = (std::uint64_t{k.property} << 32 | k.call_path) *
+                      0x9E3779B97F4A7C15ull;
+    h = (h ^ k.location) * 0xBF58476D1CE4E5B9ull;
+    return static_cast<std::size_t>(h ^ (h >> 31));
+  }
+
+  std::size_t mask_;
+  std::vector<std::uint32_t> slots_;
+  std::vector<CellKey> keys_;
+  std::vector<T> values_;
+};
 
 /// Change test shared by every diff flavour: both floors must clear.
 bool clears_floors(double a, double b, const DiffOptions& opt) {
@@ -69,11 +114,22 @@ std::string xml_escape(const std::string& s) {
 Snapshot Snapshot::from_result(const analyze::AnalysisResult& result,
                                const trace::Trace& trace) {
   Snapshot s;
+  // Intern once per distinct property, node and location, not per cell.
+  std::vector<std::uint32_t> props(analyze::kPropertyCount, kNoName);
+  std::vector<std::uint32_t> nodes(result.profile.node_count(), kNoName);
+  std::vector<std::uint32_t> locs(result.cube.location_count(), kNoName);
+  const std::vector<std::string> paths = result.profile.path_strings(trace);
+  const auto id = [&s](std::vector<std::uint32_t>& ids, auto i,
+                       std::string_view name) {
+    std::uint32_t& slot = ids[static_cast<std::size_t>(i)];
+    if (slot == kNoName) slot = s.intern(name);
+    return slot;
+  };
   result.cube.for_each([&](analyze::PropertyId p, analyze::NodeId n,
                            trace::LocId l, VDur d) {
-    s.cells.push_back({analyze::property_name(p),
-                       result.profile.path_string(n, trace),
-                       trace.location(l).name, d.sec()});
+    s.cells.push_back({id(props, p, analyze::property_name(p)),
+                       id(nodes, n, paths[static_cast<std::size_t>(n)]),
+                       id(locs, l, trace.location(l).name), d.sec()});
   });
   for (const auto& defect : result.defects) {
     s.defects.push_back(defect.describe(trace));
@@ -85,45 +141,72 @@ Snapshot Snapshot::from_severity_csv(const std::string& text) {
   Snapshot s;
   std::istringstream in(text);
   std::string line;
-  if (!std::getline(in, line) || line != kCsvHeader) {
+  if (!std::getline(in, line) || line != kSeverityCsvHeader) {
     throw UsageError("severity CSV: expected header '" +
-                     std::string(kCsvHeader) + "', got '" + line + "'");
+                     std::string(kSeverityCsvHeader) + "', got '" + line +
+                     "'");
   }
   std::size_t lineno = 1;
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
-    const auto fields = split(line, ',');
-    if (fields.size() < 4) {
-      throw UsageError("severity CSV line " + std::to_string(lineno) +
-                       ": expected 4 fields, got " +
-                       std::to_string(fields.size()));
-    }
     // Call paths could in principle contain commas; property, location and
-    // severity never do, so re-join the middle fields.
-    SnapshotCell cell;
-    cell.property = fields.front();
-    cell.location = fields[fields.size() - 2];
-    cell.call_path = join(
-        std::vector<std::string>(fields.begin() + 1, fields.end() - 2), ",");
+    // severity never do, so the call path is everything between the first
+    // comma and the second-to-last one.
+    const std::size_t first = line.find(',');
+    const std::size_t last = line.rfind(',');
+    const std::size_t second_last =
+        last == std::string::npos || last == 0 ? std::string::npos
+                                               : line.rfind(',', last - 1);
+    if (second_last == std::string::npos || second_last <= first) {
+      throw UsageError(
+          "severity CSV line " + std::to_string(lineno) +
+          ": expected 4 fields, got " +
+          std::to_string(std::count(line.begin(), line.end(), ',') + 1));
+    }
+    const std::string seconds = line.substr(last + 1);
+    double severity_sec = 0.0;
     try {
-      cell.severity_sec = std::stod(fields.back());
+      severity_sec = std::stod(seconds);
     } catch (const std::exception&) {
       throw UsageError("severity CSV line " + std::to_string(lineno) +
-                       ": bad severity '" + fields.back() + "'");
+                       ": bad severity '" + seconds + "'");
     }
-    s.cells.push_back(std::move(cell));
+    const std::string_view row(line);
+    s.add(row.substr(0, first), row.substr(first + 1, second_last - first - 1),
+          row.substr(second_last + 1, last - second_last - 1), severity_sec);
   }
   return s;
 }
 
 std::string Snapshot::severity_csv() const {
-  std::string out = std::string(kCsvHeader) + "\n";
+  std::string out(kSeverityCsvHeader);
+  out += '\n';
   for (const auto& c : cells) {
-    out += c.property + "," + c.call_path + "," + c.location + "," +
-           fmt_double(c.severity_sec, 9) + "\n";
+    append_severity_row(out, name(c.property), name(c.call_path),
+                        name(c.location), c.severity_sec);
   }
   return out;
+}
+
+void Snapshot::add(std::string_view property, std::string_view call_path,
+                   std::string_view location, double severity_sec) {
+  const std::uint32_t p = intern(property);
+  const std::uint32_t c = intern(call_path);
+  cells.push_back({p, c, intern(location), severity_sec});
+}
+
+std::uint32_t Snapshot::intern(std::string_view name) {
+  if (const auto it = index_.find(name); it != index_.end()) return it->second;
+  const auto id = static_cast<std::uint32_t>(names_.size());
+  names_.emplace_back(name);
+  index_.emplace(names_.back(), id);
+  return id;
+}
+
+std::uint32_t Snapshot::find(std::string_view name) const {
+  const auto it = index_.find(name);
+  return it == index_.end() ? kNoName : it->second;
 }
 
 std::vector<std::string> parse_defect_lines(const std::string& text) {
@@ -145,10 +228,19 @@ DiffOptions calibrate(const std::vector<Snapshot>& repeats, DiffOptions base) {
     double min = 0.0, max = 0.0;
     std::size_t seen = 0;
   };
-  std::map<std::string, Spread> spreads;
+  // Cells pair across repeats by display triple: every repeat's names are
+  // interned into one shared table first, once per distinct name.
+  Snapshot shared;
+  std::size_t max_cells = 0;
+  for (const auto& snap : repeats) max_cells += snap.cells.size();
+  CellTable<Spread> spreads(max_cells);
   for (const auto& snap : repeats) {
+    std::vector<std::uint32_t> ids(snap.name_count());
+    for (std::uint32_t i = 0; i < ids.size(); ++i) {
+      ids[i] = shared.intern(snap.name(i));
+    }
     for (const auto& c : snap.cells) {
-      auto& sp = spreads[cell_key(c.property, c.call_path, c.location)];
+      auto& sp = spreads[{ids[c.property], ids[c.call_path], ids[c.location]}];
       if (sp.seen == 0) {
         sp.min = sp.max = c.severity_sec;
       } else {
@@ -159,8 +251,8 @@ DiffOptions calibrate(const std::vector<Snapshot>& repeats, DiffOptions base) {
     }
   }
   DiffOptions out = base;
-  for (const auto& [key, sp] : spreads) {
-    (void)key;
+  for (std::size_t i = 0; i < spreads.size(); ++i) {
+    const Spread& sp = spreads.value(i);
     // A cell missing from some repeat flickers at its full magnitude: pure
     // noise at that absolute scale.  A cell present everywhere contributes
     // its worst relative spread instead.
@@ -215,62 +307,70 @@ DiffResult diff_snapshots(const Snapshot& a, const Snapshot& b,
   DiffResult out;
   out.options = opt;
 
+  // One name space for both sides: A's ids as they are, B's table remapped
+  // into A's once, and names only B has numbered past the end of A's.
+  const auto a_names = static_cast<std::uint32_t>(a.name_count());
+  std::vector<const std::string*> b_only;
+  std::vector<std::uint32_t> b_ids(b.name_count());
+  for (std::uint32_t i = 0; i < b_ids.size(); ++i) {
+    b_ids[i] = a.find(b.name(i));
+    if (b_ids[i] != Snapshot::kNoName) continue;
+    b_ids[i] = a_names + static_cast<std::uint32_t>(b_only.size());
+    b_only.push_back(&b.name(i));
+  }
+  const auto name = [&](std::uint32_t id) -> const std::string& {
+    return id < a_names ? a.name(id) : *b_only[id - a_names];
+  };
+
   // Pair the cells by identity, preserving A's stable order with B-only
   // cells appended in B's order.  The identity is the *display* triple, and
   // distinct location ids can legally share a name (hybrid traces reuse
   // "rank R thread T" across parallel regions) — duplicates therefore
   // accumulate into one logical cell on each side.
   struct Pair {
-    const SnapshotCell* cell;  ///< representative (A side when present)
     double a_sec = 0.0, b_sec = 0.0;
     bool in_a = false, in_b = false;
   };
-  std::vector<Pair> pairs;
-  std::unordered_map<std::string, std::size_t> index;
-  pairs.reserve(a.cells.size() + b.cells.size());
+  CellTable<Pair> pairs(a.cells.size() + b.cells.size());
   for (const auto& c : a.cells) {
-    const auto [it, inserted] = index.emplace(
-        cell_key(c.property, c.call_path, c.location), pairs.size());
-    if (inserted) {
-      pairs.push_back({&c, c.severity_sec, 0.0, true, false});
-    } else {
-      pairs[it->second].a_sec += c.severity_sec;
-    }
+    Pair& p = pairs[{c.property, c.call_path, c.location}];
+    p.a_sec = p.in_a ? p.a_sec + c.severity_sec : c.severity_sec;
+    p.in_a = true;
   }
   for (const auto& c : b.cells) {
-    const auto [it, inserted] = index.emplace(
-        cell_key(c.property, c.call_path, c.location), pairs.size());
-    if (inserted) {
-      pairs.push_back({&c, 0.0, c.severity_sec, false, true});
-    } else if (pairs[it->second].in_b) {
-      pairs[it->second].b_sec += c.severity_sec;
-    } else {
-      pairs[it->second].b_sec = c.severity_sec;
-      pairs[it->second].in_b = true;
-    }
+    Pair& p = pairs[{b_ids[c.property], b_ids[c.call_path], b_ids[c.location]}];
+    p.b_sec = p.in_b ? p.b_sec + c.severity_sec : c.severity_sec;
+    p.in_b = true;
   }
   out.cells_compared = pairs.size();
 
-  // Per-property roll-up over every cell; the changed subset feeds the
-  // reported cell deltas.
+  // Per-property roll-up over every cell, indexed by property name id in
+  // first-seen order; the changed subset feeds the reported cell deltas.
   struct Roll {
+    std::uint32_t property = 0;
     double a = 0.0, b = 0.0;
     std::size_t changed = 0;
-    std::size_t order = 0;  ///< first-seen position, for stable output
   };
-  std::map<std::string, Roll> rolls;
-  std::size_t next_order = 0;
-  for (const auto& p : pairs) {
-    auto [it, inserted] = rolls.try_emplace(p.cell->property);
-    if (inserted) it->second.order = next_order++;
-    it->second.a += p.a_sec;
-    it->second.b += p.b_sec;
+  std::vector<Roll> rolls;
+  std::vector<std::uint32_t> roll_of(a_names + b_only.size(),
+                                     Snapshot::kNoName);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const CellKey& key = pairs.key(i);
+    const Pair& p = pairs.value(i);
+    std::uint32_t& slot = roll_of[key.property];
+    if (slot == Snapshot::kNoName) {
+      slot = static_cast<std::uint32_t>(rolls.size());
+      rolls.push_back({key.property});
+    }
+    Roll& r = rolls[slot];
+    r.a += p.a_sec;
+    r.b += p.b_sec;
     if (!clears_floors(p.a_sec, p.b_sec, opt)) continue;
-    it->second.changed += 1;
+    r.changed += 1;
     CellDelta d;
-    d.property = p.cell->property;
-    d.call_path = p.cell->call_path;
-    d.location = p.cell->location;
+    d.property = name(key.property);
+    d.call_path = name(key.call_path);
+    d.location = name(key.location);
     d.a_sec = p.a_sec;
     d.b_sec = p.b_sec;
     d.kind = !p.in_a   ? DeltaKind::kAdded
@@ -284,17 +384,10 @@ DiffResult diff_snapshots(const Snapshot& a, const Snapshot& b,
                      return std::fabs(x.delta()) > std::fabs(y.delta());
                    });
 
-  std::vector<const std::pair<const std::string, Roll>*> ordered;
-  for (const auto& kv : rolls) ordered.push_back(&kv);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto* x, const auto* y) {
-              return x->second.order < y->second.order;
-            });
   double best_regression = 0.0;
-  for (const auto* kv : ordered) {
-    const Roll& r = kv->second;
+  for (const Roll& r : rolls) {
     PropertyDelta pd;
-    pd.property = kv->first;
+    pd.property = name(r.property);
     pd.a_total_sec = r.a;
     pd.b_total_sec = r.b;
     pd.cells_changed = r.changed;

@@ -12,7 +12,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "analyzer/analyzer.hpp"
@@ -21,22 +25,27 @@
 
 namespace ats::diff {
 
-/// One (property, call path, location) severity cell in a comparable form:
-/// everything is a stable string plus seconds, so snapshots taken from a
-/// live AnalysisResult and snapshots parsed from a checked-in severity CSV
-/// diff symmetrically.
+/// One (property, call path, location) severity cell.  The three names are
+/// ids into the owning Snapshot's string table, so a cell holds no string
+/// and two cells of one snapshot compare as integers.
 struct SnapshotCell {
-  std::string property;
-  std::string call_path;
-  std::string location;
+  std::uint32_t property = 0;
+  std::uint32_t call_path = 0;
+  std::uint32_t location = 0;
   double severity_sec = 0.0;
 };
 
 /// A diffable view of one analysis: severity cells in stable report order
-/// plus the structural-defect report lines.
-struct Snapshot {
+/// plus the structural-defect report lines.  Names are interned by display
+/// string, so a cell's identity is its (property, call path, location)
+/// display triple whether it came from a live AnalysisResult or from a
+/// severity CSV, and two location ids sharing a name share one id.
+class Snapshot {
+ public:
+  static constexpr std::uint32_t kNoName = UINT32_MAX;
+
   std::string label;  ///< provenance shown in reports ("a", a file name, ...)
-  std::vector<SnapshotCell> cells;
+  std::vector<SnapshotCell> cells;   ///< one per severity CSV row
   std::vector<std::string> defects;  ///< StructuralDefect::describe lines
 
   /// Snapshot of a live analysis.  Cell order and values match
@@ -51,6 +60,28 @@ struct Snapshot {
 
   /// Re-serialises the cells; from_severity_csv round-trips through this.
   std::string severity_csv() const;
+
+  /// Appends a cell, interning its three names.
+  void add(std::string_view property, std::string_view call_path,
+           std::string_view location, double severity_sec);
+
+  /// Id of `name` in the string table; appended when new.
+  std::uint32_t intern(std::string_view name);
+  /// Id of `name`, or kNoName when the table lacks it.
+  std::uint32_t find(std::string_view name) const;
+  const std::string& name(std::uint32_t id) const { return names_[id]; }
+  std::size_t name_count() const { return names_.size(); }
+
+ private:
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::vector<std::string> names_;  ///< the string table, first-seen order
+  std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>>
+      index_;
 };
 
 /// Parses report::render_defects text (a golden `.defects` file) into

@@ -198,16 +198,15 @@ std::string render_profile(const AnalysisResult& result,
 
 std::string severity_csv(const AnalysisResult& result,
                          const trace::Trace& trace) {
-  std::ostringstream os;
-  os << "property,call_path,location,severity_sec\n";
-  // SeverityCube::for_each is the stable-order contract shared with
-  // diff::Snapshot; rows here and cells there must stay in lockstep.
+  const std::vector<std::string> paths = result.profile.path_strings(trace);
+  std::string out(kSeverityCsvHeader);
+  out += '\n';
   result.cube.for_each([&](PropertyId p, NodeId n, trace::LocId l, VDur d) {
-    os << analyze::property_name(p) << ","
-       << result.profile.path_string(n, trace) << ","
-       << trace.location(l).name << "," << fmt_double(d.sec(), 9) << "\n";
+    append_severity_row(out, analyze::property_name(p),
+                        paths[static_cast<std::size_t>(n)],
+                        trace.location(l).name, d.sec());
   });
-  return os.str();
+  return out;
 }
 
 }  // namespace ats::report

@@ -1,8 +1,12 @@
 // Unit tests for common/: virtual time, RNG, stats, string helpers.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <fstream>
 #include <iterator>
 #include <set>
@@ -168,6 +172,53 @@ TEST(StrUtil, Formatting) {
   EXPECT_TRUE(starts_with("late_sender", "late"));
   EXPECT_FALSE(starts_with("late", "late_sender"));
   EXPECT_EQ(repeat('-', 3), "---");
+}
+
+std::string printf_fixed(double v, int precision, const char* suffix = "") {
+  const int n = std::snprintf(nullptr, 0, "%.*f%s", precision, v, suffix);
+  std::string out(static_cast<std::size_t>(n) + 1, '\0');
+  std::snprintf(out.data(), out.size(), "%.*f%s", precision, v, suffix);
+  out.pop_back();
+  return out;
+}
+
+// fmt_double and fmt_percent must print exactly what "%.*f" prints, at any
+// magnitude: a fixed-size snprintf buffer used to cut |v| >= ~1e53 short.
+TEST(StrUtil, FixedFormattingMatchesPrintf) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> pinned = {
+      -0.0, 5e-10, 1e-10, 1e300, -1e300, inf, -inf, nan, -nan,
+      std::numeric_limits<double>::max(), 1e53, 2.5, 0.125};
+  std::mt19937_64 gen(20031);
+  std::vector<double> values = pinned;
+  for (int i = 0; i < 1000; ++i) {
+    // Raw bit patterns reach every exponent, subnormals and NaNs included.
+    values.push_back(std::bit_cast<double>(gen()));
+  }
+  for (double v : values) {
+    for (int precision : {0, 1, 3, 6, 9, 17}) {
+      ASSERT_EQ(fmt_double(v, precision), printf_fixed(v, precision))
+          << "precision " << precision;
+      ASSERT_EQ(fmt_percent(v, precision),
+                printf_fixed(v * 100.0, precision, "%"))
+          << "precision " << precision;
+    }
+  }
+  EXPECT_EQ(fmt_double(1e300, 9).size(), 301u + 1u + 9u);
+  EXPECT_EQ(fmt_double(5e-10, 9), printf_fixed(5e-10, 9));
+  EXPECT_EQ(fmt_double(-0.0, 3), "-0.000");
+  EXPECT_EQ(fmt_double(0.5, 120), printf_fixed(0.5, 120));
+}
+
+TEST(StrUtil, SeverityRowIsTheCsvSchema) {
+  std::string out(kSeverityCsvHeader);
+  out += '\n';
+  append_severity_row(out, "late sender", "main > MPI_Recv", "rank 1",
+                      0.0123456789);
+  EXPECT_EQ(out,
+            "property,call_path,location,severity_sec\n"
+            "late sender,main > MPI_Recv,rank 1,0.012345679\n");
 }
 
 TEST(Error, RequireThrowsUsageError) {

@@ -7,6 +7,7 @@
 // defect-set diffs and the sweep-row differ the service verb uses.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "common/error.hpp"
 #include "diff/diff.hpp"
 #include "gen/registry.hpp"
+#include "report/cube_view.hpp"
 
 namespace {
 
@@ -38,11 +40,26 @@ diff::Snapshot snapshot_of(const trace::Trace& tr) {
   return diff::Snapshot::from_result(analyze::analyze(tr), tr);
 }
 
-diff::Snapshot make_snapshot(
-    std::initializer_list<diff::SnapshotCell> cells) {
+/// One hand-written cell, by display strings.
+struct Row {
+  std::string property, call_path, location;
+  double sec = 0.0;
+};
+
+diff::Snapshot make_snapshot(std::initializer_list<Row> rows) {
   diff::Snapshot s;
-  s.cells = cells;
+  for (const Row& r : rows) s.add(r.property, r.call_path, r.location, r.sec);
   return s;
+}
+
+/// Number of distinct display triples among the snapshot's cells.
+std::size_t distinct_triples(const diff::Snapshot& s) {
+  std::set<std::string> seen;
+  for (const auto& c : s.cells) {
+    seen.insert(s.name(c.property) + "|" + s.name(c.call_path) + "|" +
+                s.name(c.location));
+  }
+  return seen.size();
 }
 
 TEST(DiffSnapshot, SelfDiffOfLiveAnalysisIsEmpty) {
@@ -66,6 +83,64 @@ TEST(DiffSnapshot, CsvRoundTripDiffsEmpty) {
   EXPECT_TRUE(diff::diff_snapshots(parsed, snap).empty());
   // And the re-serialisation is byte-identical (stable order contract).
   EXPECT_EQ(parsed.severity_csv(), snap.severity_csv());
+}
+
+// Hybrid and OpenMP traces name thread locations per parallel region, so
+// two location ids can share one display name.  Such cells stay separate
+// rows in both snapshot flavours and pair as one logical cell in a diff.
+TEST(DiffSnapshot, DuplicateDisplayNamesAggregateAlikeFromResultAndCsv) {
+  const trace::Trace tr = run_property("imbalance_in_omp_pregion");
+  const analyze::AnalysisResult result = analyze::analyze(tr);
+  const diff::Snapshot live = diff::Snapshot::from_result(result, tr);
+  const diff::Snapshot parsed =
+      diff::Snapshot::from_severity_csv(report::severity_csv(result, tr));
+  ASSERT_EQ(parsed.cells.size(), live.cells.size());
+  const std::size_t distinct = distinct_triples(live);
+  ASSERT_LT(distinct, live.cells.size()) << "no duplicate display triple";
+  EXPECT_EQ(distinct_triples(parsed), distinct);
+  // One id per display string, whichever way the snapshot was built.
+  EXPECT_EQ(parsed.name_count(), live.name_count());
+
+  for (const diff::Snapshot* side : {&live, &parsed}) {
+    const diff::DiffResult self = diff::diff_snapshots(*side, *side);
+    EXPECT_TRUE(self.empty());
+    EXPECT_EQ(self.cells_compared, distinct);
+  }
+  EXPECT_TRUE(diff::diff_snapshots(live, parsed).empty());
+  EXPECT_TRUE(diff::diff_snapshots(parsed, live).empty());
+
+  // Against an empty baseline every logical cell is "added" with the sum of
+  // its duplicates, and both flavours report the same deltas.
+  const diff::Snapshot none;
+  const diff::DiffResult from_live = diff::diff_snapshots(none, live);
+  const diff::DiffResult from_csv = diff::diff_snapshots(none, parsed);
+  EXPECT_EQ(from_live.cells_compared, distinct);
+  EXPECT_EQ(diff::diff_csv(from_live), diff::diff_csv(from_csv));
+  ASSERT_EQ(from_live.properties.size(), from_csv.properties.size());
+  for (std::size_t i = 0; i < from_live.properties.size(); ++i) {
+    EXPECT_EQ(from_live.properties[i].property,
+              from_csv.properties[i].property);
+    EXPECT_NEAR(from_live.properties[i].b_total_sec,
+                from_csv.properties[i].b_total_sec, 1e-6);
+  }
+}
+
+// At 1024 ranks the snapshot re-serialises to exactly the report's CSV and
+// survives a parse round trip.
+TEST(DiffSnapshot, LargeRunSnapshotCsvIsTheReportCsv) {
+  const gen::PropertyDef& def = gen::Registry::instance().find("late_sender");
+  gen::RunConfig cfg;
+  cfg.nprocs = 1024;
+  const trace::Trace tr = gen::run_single_property(def, def.positive, cfg);
+  const analyze::AnalysisResult result = analyze::analyze(tr);
+  const std::string csv = report::severity_csv(result, tr);
+  const diff::Snapshot snap = diff::Snapshot::from_result(result, tr);
+  EXPECT_GE(snap.cells.size(), 1024u);
+  EXPECT_EQ(snap.severity_csv(), csv);
+  const diff::Snapshot parsed = diff::Snapshot::from_severity_csv(csv);
+  EXPECT_EQ(parsed.cells.size(), snap.cells.size());
+  EXPECT_EQ(parsed.severity_csv(), csv);
+  EXPECT_TRUE(diff::diff_snapshots(snap, parsed).empty());
 }
 
 TEST(DiffSnapshot, RejectsForeignCsv) {
@@ -150,6 +225,58 @@ TEST(DiffThresholds, AddedAndRemovedCells) {
   EXPECT_EQ(d.attribution, "wait at barrier");
 }
 
+// B's string table is in another order than A's and holds names A lacks;
+// pairing goes by display string, never by raw id.
+TEST(DiffThresholds, StringTablesInDifferentOrderAndContent) {
+  const auto a =
+      make_snapshot({{"late sender", "main > send", "rank 0", 1.0},
+                     {"late sender", "main > send", "rank 1", 2.0},
+                     {"wait at barrier", "main", "rank 0", 0.5},
+                     {"late receiver", "main > recv", "rank 2", 0.3}});
+  const auto b =
+      make_snapshot({{"wait at barrier", "main", "rank 9", 0.4},
+                     {"wait at barrier", "main", "rank 0", 0.5},
+                     {"late sender", "main > send", "rank 1", 3.0},
+                     {"late sender", "main > send", "rank 0", 1.0},
+                     {"early reduce", "main > reduce", "rank 0", 0.2}});
+  ASSERT_NE(a.name(0), b.name(0));
+  const diff::DiffResult d = diff::diff_snapshots(a, b);
+  EXPECT_EQ(d.cells_compared, 6u);
+  ASSERT_EQ(d.cells.size(), 4u);
+  // Largest |delta| first: +1.0, +0.4, -0.3, +0.2.
+  EXPECT_EQ(d.cells[0].kind, diff::DeltaKind::kIncreased);
+  EXPECT_EQ(d.cells[0].location, "rank 1");
+  EXPECT_DOUBLE_EQ(d.cells[0].a_sec, 2.0);
+  EXPECT_DOUBLE_EQ(d.cells[0].b_sec, 3.0);
+  EXPECT_EQ(d.cells[1].kind, diff::DeltaKind::kAdded);
+  EXPECT_EQ(d.cells[1].property, "wait at barrier");
+  EXPECT_EQ(d.cells[1].location, "rank 9");
+  EXPECT_EQ(d.cells[2].kind, diff::DeltaKind::kRemoved);
+  EXPECT_EQ(d.cells[2].call_path, "main > recv");
+  EXPECT_EQ(d.cells[3].kind, diff::DeltaKind::kAdded);
+  EXPECT_EQ(d.cells[3].property, "early reduce");
+  EXPECT_EQ(d.cells[3].call_path, "main > reduce");
+  // Property roll-ups in first-seen order: A's properties, then B-only ones.
+  ASSERT_EQ(d.properties.size(), 4u);
+  EXPECT_EQ(d.properties[0].property, "late sender");
+  EXPECT_DOUBLE_EQ(d.properties[0].a_total_sec, 3.0);
+  EXPECT_DOUBLE_EQ(d.properties[0].b_total_sec, 4.0);
+  EXPECT_EQ(d.properties[1].property, "wait at barrier");
+  EXPECT_DOUBLE_EQ(d.properties[1].b_total_sec, 0.9);
+  EXPECT_EQ(d.properties[2].property, "late receiver");
+  EXPECT_TRUE(d.properties[2].improved);
+  EXPECT_EQ(d.properties[3].property, "early reduce");
+  EXPECT_EQ(d.attribution, "late sender");
+  // Swapping the sides mirrors every verdict.
+  const diff::DiffResult r = diff::diff_snapshots(b, a);
+  EXPECT_EQ(r.cells_compared, 6u);
+  ASSERT_EQ(r.cells.size(), 4u);
+  EXPECT_EQ(r.cells[0].kind, diff::DeltaKind::kDecreased);
+  EXPECT_EQ(r.cells[1].kind, diff::DeltaKind::kRemoved);
+  EXPECT_EQ(r.cells[2].kind, diff::DeltaKind::kAdded);
+  EXPECT_EQ(r.attribution, "late receiver");
+}
+
 TEST(DiffCalibration, RepeatSpreadWidensRelativeFloor) {
   const auto r1 = make_snapshot({{"late sender", "p", "rank 0", 1.0}});
   const auto r2 = make_snapshot({{"late sender", "p", "rank 0", 1.06}});
@@ -175,6 +302,29 @@ TEST(DiffCalibration, FlickeringCellWidensAbsoluteFloor) {
   EXPECT_TRUE(diff::diff_snapshots(r2, r1, opt).empty());
   // ...while calibration without flicker would have reported it.
   EXPECT_FALSE(diff::diff_snapshots(r2, r1, {}).empty());
+}
+
+// Pinned floors for a fixed repeat set whose string tables differ in order,
+// with a duplicated triple (counted once per row, as it always was) and a
+// cell that flickers.
+TEST(DiffCalibration, FixedRepeatSetGivesPinnedFloors) {
+  const auto r1 = make_snapshot(
+      {{"late sender", "main > send", "rank 0", 1.0},
+       {"late sender", "main > send", "rank 0", 0.96},
+       {"wait at barrier", "main > barrier", "rank 1", 0.002}});
+  const auto r2 = make_snapshot(
+      {{"wait at barrier", "main > barrier", "rank 3", 0.004},
+       {"wait at barrier", "main > barrier", "rank 1", 0.0021},
+       {"late sender", "main > send", "rank 0", 1.04}});
+  const auto r3 = make_snapshot(
+      {{"late sender", "main > send", "rank 0", 1.1},
+       {"wait at barrier", "main > barrier", "rank 1", 0.00205}});
+  const diff::DiffOptions opt = diff::calibrate({r1, r2, r3});
+  EXPECT_EQ(opt.abs_floor_sec, 2.0 * 0.004);
+  EXPECT_EQ(opt.rel_floor, 2.0 * ((1.1 - 0.96) / 1.1));
+  const diff::DiffOptions wide = diff::calibrate({r3, r1, r2}, {1e-6, 0.3});
+  EXPECT_EQ(wide.abs_floor_sec, 2.0 * 0.004);
+  EXPECT_EQ(wide.rel_floor, 0.3);
 }
 
 TEST(DiffDefects, SetDifferenceBothWays) {
