@@ -111,9 +111,14 @@ void BM_DistributionEval(benchmark::State& state) {
 }
 BENCHMARK(BM_DistributionEval);
 
+/// late_sender then an imbalanced barrier, `reps` times each, at `np`
+/// ranks.  Many ranks and one rep give the lockstep shape of the
+/// large_trace benchmark: every rank steps through the same few
+/// timestamps, so nearly every event ties with thousands of others.
 trace::Trace make_trace(int np, int reps) {
   mpi::MpiRunOptions opt;
   opt.nprocs = np;
+  opt.engine.max_locations = static_cast<std::size_t>(np) + 8;
   return mpi::run_mpi(opt,
                       [&](mpi::Proc& p) {
                         core::PropCtx ctx = core::PropCtx::from(p);
@@ -126,8 +131,20 @@ trace::Trace make_trace(int np, int reps) {
       .trace;
 }
 
+/// (ranks, reps) cases of the merge benchmarks: 8 ranks with a growing
+/// rep count, and the 8192-rank lockstep trace with one rep.
+void merge_cases(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"ranks", "reps"});
+  b->Args({8, 20})->Args({8, 200})->Args({8, 2000})->Args({8192, 1});
+}
+
+trace::Trace make_trace(const benchmark::State& state) {
+  return make_trace(static_cast<int>(state.range(0)),
+                    static_cast<int>(state.range(1)));
+}
+
 void BM_AnalyzerReplay(benchmark::State& state) {
-  const trace::Trace tr = make_trace(8, 20);
+  const trace::Trace tr = make_trace(state);
   for (auto _ : state) {
     const auto result = analyze::analyze(tr);
     benchmark::DoNotOptimize(result.total_time);
@@ -136,12 +153,16 @@ void BM_AnalyzerReplay(benchmark::State& state) {
                           static_cast<std::int64_t>(tr.event_count()));
   state.counters["events"] = static_cast<double>(tr.event_count());
 }
-BENCHMARK(BM_AnalyzerReplay)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AnalyzerReplay)
+    ->ArgNames({"ranks", "reps"})
+    ->Args({8, 20})
+    ->Args({8192, 1})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_TraceMerge(benchmark::State& state) {
-  // Streaming k-way heap merge over the per-location buffers (the replay's
+  // The radix merge order over the per-location buffers (the replay's
   // event source); compare with BM_TraceMergeStableSort below.
-  const trace::Trace tr = make_trace(8, static_cast<int>(state.range(0)));
+  const trace::Trace tr = make_trace(state);
   for (auto _ : state) {
     std::size_t n = 0;
     VTime last = VTime::zero();
@@ -155,17 +176,13 @@ void BM_TraceMerge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(tr.event_count()));
 }
-BENCHMARK(BM_TraceMerge)
-    ->ArgName("reps")
-    ->Arg(20)
-    ->Arg(200)
-    ->Arg(2000)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceMerge)->Apply(merge_cases)->Unit(benchmark::kMillisecond);
 
 void BM_TraceMergeStableSort(benchmark::State& state) {
   // The seed's merged(): collect every event pointer, stable_sort by
-  // (t, loc).  Kept as the O(n log n) reference the k-way merge replaced.
-  const trace::Trace tr = make_trace(8, static_cast<int>(state.range(0)));
+  // (t, loc).  Kept as the O(n log n) comparison-sort reference for the
+  // radix merge order.
+  const trace::Trace tr = make_trace(state);
   for (auto _ : state) {
     std::vector<const trace::Event*> out;
     out.reserve(tr.event_count());
@@ -185,10 +202,7 @@ void BM_TraceMergeStableSort(benchmark::State& state) {
                           static_cast<std::int64_t>(tr.event_count()));
 }
 BENCHMARK(BM_TraceMergeStableSort)
-    ->ArgName("reps")
-    ->Arg(20)
-    ->Arg(200)
-    ->Arg(2000)
+    ->Apply(merge_cases)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SeverityCubeAdd(benchmark::State& state) {

@@ -1,10 +1,10 @@
 #include "analyzer/analyzer.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <bit>
 #include <map>
 #include <numeric>
-#include <set>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/error.hpp"
@@ -41,21 +41,29 @@ const SeverityCube::Cell* SeverityCube::find_cell(PropertyId p,
   return &cells_[static_cast<std::size_t>(p)][it->second];
 }
 
-void SeverityCube::add(PropertyId p, NodeId n, trace::LocId loc, VDur d) {
-  if (d <= VDur::zero()) return;
+std::vector<VDur>& SeverityCube::row(PropertyId p, NodeId n) {
   auto& list = cells_[static_cast<std::size_t>(p)];
   auto& idx = index_[static_cast<std::size_t>(p)];
   const auto [it, inserted] =
       idx.emplace(n, static_cast<std::uint32_t>(list.size()));
-  if (!inserted) {
-    list[it->second].per_loc[static_cast<std::size_t>(loc)] += d;
-    return;
+  if (inserted) list.push_back(Cell{n, std::vector<VDur>(nlocs_)});
+  return list[it->second].per_loc;
+}
+
+void SeverityCube::add(PropertyId p, NodeId n, trace::LocId loc, VDur d) {
+  if (d <= VDur::zero()) return;
+  row(p, n)[static_cast<std::size_t>(loc)] += d;
+}
+
+void SeverityCube::add_row(PropertyId p, NodeId n,
+                           std::span<const VDur> per_loc) {
+  std::size_t l = 0;
+  while (l < per_loc.size() && per_loc[l] <= VDur::zero()) ++l;
+  if (l == per_loc.size()) return;
+  std::vector<VDur>& cell = row(p, n);
+  for (; l < per_loc.size(); ++l) {
+    if (per_loc[l] > VDur::zero()) cell[l] += per_loc[l];
   }
-  Cell cell;
-  cell.node = n;
-  cell.per_loc.assign(nlocs_, VDur::zero());
-  cell.per_loc[static_cast<std::size_t>(loc)] = d;
-  list.push_back(std::move(cell));
 }
 
 VDur SeverityCube::at(PropertyId p, NodeId n, trace::LocId loc) const {
@@ -158,8 +166,19 @@ struct StackEntry {
   trace::RegionId region;
 };
 
+/// A send waiting for its receive.  It remembers its entry in the
+/// pending-send FIFO of its (comm, dst) pair so matching can mark it.
 struct SendRec {
   VTime t;
+  std::uint32_t pend_queue;
+  std::uint32_t pend_node;
+};
+
+/// An unmatched send time in a (comm, dst) pending FIFO; matched sends are
+/// marked erased and popped once they reach the head.
+struct PendingSend {
+  VTime t;
+  bool erased = false;
 };
 
 /// A receive completion seen before its send record (possible at equal
@@ -190,7 +209,7 @@ struct CollRec {
   VTime exit;
   NodeId node;
   trace::RegionKind encl_kind;
-  std::string encl_name;
+  trace::RegionId encl_region;  ///< kNone outside any region
 };
 
 /// 128-bit packed hash key for the replay's hot lookup tables (message
@@ -238,6 +257,128 @@ struct Key128Hash {
   }
 };
 
+/// Growable open-addressing Key128 -> dense id index, on the pattern of
+/// diff.cpp's CellTable: ids are handed out in first-use order, so per-key
+/// replay state lives in flat vectors indexed by id, and a lookup is a hash
+/// plus a short probe that never allocates a node.
+class KeyIndex {
+ public:
+  explicit KeyIndex(std::size_t expected) {
+    rehash(std::bit_ceil(2 * expected + 2));
+  }
+
+  /// The id of `key`, assigned on first use.
+  std::uint32_t id(const Key128& key) {
+    std::size_t i = slot_of(key);
+    if (slots_[i] == kAbsent) {
+      if (2 * (keys_.size() + 1) > slots_.size()) {
+        rehash(2 * slots_.size());
+        i = slot_of(key);
+      }
+      slots_[i] = static_cast<std::uint32_t>(keys_.size());
+      keys_.push_back(key);
+    }
+    return slots_[i];
+  }
+
+ private:
+  std::size_t slot_of(const Key128& key) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = Key128Hash{}(key) & mask;
+    while (slots_[i] != kAbsent && keys_[slots_[i]] != key) i = (i + 1) & mask;
+    return i;
+  }
+
+  void rehash(std::size_t nslots) {
+    slots_.assign(nslots, kAbsent);
+    for (std::uint32_t id = 0; id < keys_.size(); ++id) {
+      slots_[slot_of(keys_[id])] = id;
+    }
+  }
+
+  static constexpr std::uint32_t kAbsent = UINT32_MAX;
+
+  std::vector<std::uint32_t> slots_;
+  std::vector<Key128> keys_;
+};
+
+/// FIFO queues of T, one per dense id, linked by index through one node
+/// pool.  Popped nodes go on a free list and are reused, so queueing
+/// allocates only while the pool's high-water mark grows.
+template <class T>
+class FifoPool {
+ public:
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+
+  /// Appends `v` to queue `q` and returns its node.
+  std::uint32_t push(std::uint32_t q, const T& v) {
+    if (q >= queues_.size()) queues_.resize(q + 1);
+    std::uint32_t n = free_;
+    if (n != kNil) {
+      free_ = nodes_[n].next;
+      nodes_[n] = {v, kNil};
+    } else {
+      n = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.push_back({v, kNil});
+    }
+    Queue& qu = queues_[q];
+    if (qu.tail == kNil) {
+      qu.head = n;
+    } else {
+      nodes_[qu.tail].next = n;
+    }
+    qu.tail = n;
+    ++live_;
+    return n;
+  }
+
+  /// Head node of queue `q`; kNil when the queue is empty.
+  std::uint32_t head(std::uint32_t q) const {
+    return q < queues_.size() ? queues_[q].head : kNil;
+  }
+
+  /// Removes the head of the non-empty queue `q`.
+  void pop(std::uint32_t q) {
+    Queue& qu = queues_[q];
+    const std::uint32_t n = qu.head;
+    qu.head = nodes_[n].next;
+    if (qu.head == kNil) qu.tail = kNil;
+    nodes_[n].next = free_;
+    free_ = n;
+    --live_;
+  }
+
+  T& operator[](std::uint32_t n) { return nodes_[n].value; }
+  /// Records currently queued, over all queues.
+  std::size_t live() const { return live_; }
+
+ private:
+  struct Node {
+    T value;
+    std::uint32_t next;
+  };
+  struct Queue {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+
+  std::vector<Queue> queues_;
+  std::vector<Node> nodes_;
+  std::uint32_t free_ = kNil;
+  std::size_t live_ = 0;
+};
+
+/// Blocking sends: their region interval feeds the late-receiver pass.
+bool is_blocking_send(const trace::RegionInfo& info) {
+  return info.name == "MPI_Send" || info.name == "MPI_Ssend";
+}
+
+/// Per-region facts the replay reads on every event, computed once.
+struct RegionFacts {
+  trace::RegionKind kind;
+  bool blocking_send;
+};
+
 /// True for kinds counted as "MPI time".
 bool is_mpi_kind(trace::RegionKind k) {
   return k == trace::RegionKind::kMpiP2P ||
@@ -264,13 +405,19 @@ class Replay {
         send_intervals_(nlocs_),
         first_(nlocs_, VTime::max()),
         last_(nlocs_, VTime::zero()),
-        seen_(nlocs_, false) {
-    // Pre-size the hot tables; distinct keys scale with location pairs,
-    // not with events.
-    sends_.reserve(nlocs_ * 4);
-    orphans_.reserve(nlocs_);
-    pending_to_.reserve(nlocs_ * 2);
+        seen_(nlocs_, false),
+        // Pre-size the hot tables; distinct keys scale with location
+        // pairs, not with events.
+        msg_ids_(nlocs_ * 4),
+        pend_ids_(nlocs_ * 2) {
     colls_.reserve(nlocs_);
+    const trace::RegionRegistry& regions = trace.regions();
+    region_facts_.reserve(regions.size());
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+      const trace::RegionInfo& info =
+          regions.info(static_cast<trace::RegionId>(r));
+      region_facts_.push_back({info.kind, is_blocking_send(info)});
+    }
     if (options.check_collectives) checker_.emplace(trace);
   }
 
@@ -301,6 +448,24 @@ class Replay {
 
   bool valid_region(trace::RegionId r) const {
     return r >= 0 && static_cast<std::size_t>(r) < trace_.regions().size();
+  }
+
+  /// Facts of region `r`; an undeclared id throws like regions().info().
+  const RegionFacts& facts(trace::RegionId r) const {
+    if (!valid_region(r)) (void)trace_.regions().info(r);
+    return region_facts_[static_cast<std::size_t>(r)];
+  }
+
+  /// Earliest still-pending send of pending FIFO `pq`, or nullptr.  The
+  /// merge order never goes back in time, so each FIFO holds its sends in
+  /// time order and the first one not yet matched is the minimum.
+  const PendingSend* oldest_pending(std::uint32_t pq) {
+    for (std::uint32_t n = pending_.head(pq); n != FifoPool<PendingSend>::kNil;
+         n = pending_.head(pq)) {
+      if (!pending_[n].erased) return &pending_[n];
+      pending_.pop(pq);
+    }
+    return nullptr;
   }
 
   bool valid_comm(trace::CommId c) const {
@@ -335,15 +500,17 @@ class Replay {
   std::vector<std::vector<SendInterval>> send_intervals_;
   std::vector<VTime> first_, last_;
   std::vector<bool> seen_;
+  std::vector<RegionFacts> region_facts_;  // indexed by RegionId
 
-  // message matching: (comm, src loc, dst loc, tag) -> FIFO of sends
-  std::unordered_map<Key128, std::deque<SendRec>, Key128Hash> sends_;
-  // receive completions still waiting for their send record (same key)
-  std::unordered_map<Key128, std::deque<OrphanRecv>, Key128Hash> orphans_;
-  // unmatched send times per (comm, dst loc), for wrong-order detection;
-  // the multiset keeps them ordered so the oldest pending send is O(1).
-  std::unordered_map<Key128, std::multiset<std::int64_t>, Key128Hash>
-      pending_to_;
+  // message matching: (comm, src loc, dst loc, tag) -> dense id, with one
+  // FIFO of sends and one of receive completions still waiting for their
+  // send record per id
+  KeyIndex msg_ids_;
+  FifoPool<SendRec> sends_;
+  FifoPool<OrphanRecv> orphans_;
+  // unmatched send times per (comm, dst loc) id, for wrong-order detection
+  KeyIndex pend_ids_;
+  FifoPool<PendingSend> pending_;
   std::vector<LrCandidate> lr_candidates_;
   // collective grouping: (comm, seq) -> records so far
   std::unordered_map<Key128, std::vector<CollRec>, Key128Hash> colls_;
@@ -400,9 +567,8 @@ void Replay::on_exit(const trace::Event& e) {
   st.pop_back();
   profile_.add_inclusive(top.node, e.loc, e.t - top.enter);
   // Close a pending send interval of this region, for late-receiver.
-  const trace::RegionInfo& info = trace_.regions().info(e.region);
-  if (info.kind == trace::RegionKind::kMpiP2P &&
-      (info.name == "MPI_Send" || info.name == "MPI_Ssend")) {
+  const RegionFacts& f = facts(e.region);
+  if (f.kind == trace::RegionKind::kMpiP2P && f.blocking_send) {
     auto& ivs = send_intervals_[static_cast<std::size_t>(e.loc)];
     for (auto it = ivs.rbegin(); it != ivs.rend(); ++it) {
       if (!it->closed && it->node == top.node) {
@@ -415,14 +581,14 @@ void Replay::on_exit(const trace::Event& e) {
 }
 
 void Replay::on_send(const trace::Event& e) {
-  const Key128 key = msg_key(e.comm, e.loc, e.peer, e.tag);
-  auto oit = orphans_.find(key);
-  if (oit != orphans_.end() && !oit->second.empty()) {
+  const std::uint32_t msg = msg_ids_.id(msg_key(e.comm, e.loc, e.peer, e.tag));
+  const std::uint32_t parked = orphans_.head(msg);
+  if (parked != FifoPool<OrphanRecv>::kNil) {
     // A receive completion (equal timestamp, lower location id) was seen
     // first; complete the pair now.  The message never waited unmatched, so
     // no wrong-order bookkeeping applies.
-    const OrphanRecv orphan = oit->second.front();
-    oit->second.pop_front();
+    const OrphanRecv orphan = orphans_[parked];
+    orphans_.pop(msg);
     // A receive that *completed* strictly before its send was recorded can
     // only happen with disagreeing clocks (equal timestamps are the benign
     // replay-order case).
@@ -436,14 +602,13 @@ void Replay::on_send(const trace::Event& e) {
     // send record, so it cannot have posted late.
     return;
   }
-  sends_[key].push_back(SendRec{e.t});
-  pending_to_[pair_key(e.comm, e.peer)].insert(e.t.ns());
+  const std::uint32_t pq = pend_ids_.id(pair_key(e.comm, e.peer));
+  sends_.push(msg, SendRec{e.t, pq, pending_.push(pq, PendingSend{e.t})});
   // Remember the enclosing blocking-send interval (exit filled on region
   // exit); used by the late-receiver post-pass.
   const auto& st = stacks_[static_cast<std::size_t>(e.loc)];
   if (!st.empty()) {
-    const trace::RegionInfo& info = trace_.regions().info(st.back().region);
-    if (info.name == "MPI_Send" || info.name == "MPI_Ssend") {
+    if (facts(st.back().region).blocking_send) {
       send_intervals_[static_cast<std::size_t>(e.loc)].push_back(
           SendInterval{e.t, e.t, st.back().node, false});
     }
@@ -451,7 +616,7 @@ void Replay::on_send(const trace::Event& e) {
 }
 
 void Replay::on_recv(const trace::Event& e) {
-  const Key128 key = msg_key(e.comm, e.peer, e.loc, e.tag);
+  const std::uint32_t msg = msg_ids_.id(msg_key(e.comm, e.peer, e.loc, e.tag));
 
   // The innermost enclosing P2P region is the waiting receive operation
   // (MPI_Recv, MPI_Wait, ...); resolve it first so an orphaned completion
@@ -461,8 +626,7 @@ void Replay::on_recv(const trace::Event& e) {
   VTime recv_enter = e.t;
   bool in_p2p = false;
   for (auto rit = stk.rbegin(); rit != stk.rend(); ++rit) {
-    if (trace_.regions().info(rit->region).kind ==
-        trace::RegionKind::kMpiP2P) {
+    if (facts(rit->region).kind == trace::RegionKind::kMpiP2P) {
       recv_node = rit->node;
       recv_enter = rit->enter;
       in_p2p = true;
@@ -470,21 +634,21 @@ void Replay::on_recv(const trace::Event& e) {
     }
   }
 
-  auto it = sends_.find(key);
-  if (it == sends_.end() || it->second.empty()) {
+  const std::uint32_t head = sends_.head(msg);
+  if (head == FifoPool<SendRec>::kNil) {
     // The send record has an equal timestamp but a higher location id and
     // has not been replayed yet; park the completion.
     if (in_p2p) {
-      orphans_[key].push_back(OrphanRecv{e.t, recv_enter, recv_node, e.loc});
+      orphans_.push(msg, OrphanRecv{e.t, recv_enter, recv_node, e.loc});
     }
     return;
   }
-  const VTime send_t = it->second.front().t;
-  it->second.pop_front();
+  const SendRec send = sends_[head];
+  sends_.pop(msg);
+  const VTime send_t = send.t;
   // This message is consumed: drop it from the pending set.
-  auto& pend = pending_to_[pair_key(e.comm, e.loc)];
-  const auto pit = pend.find(send_t.ns());
-  if (pit != pend.end()) pend.erase(pit);
+  pending_[send.pend_node].erased = true;
+  const PendingSend* oldest = oldest_pending(send.pend_queue);
 
   if (!in_p2p) return;  // recv completion outside any P2P region: skip
 
@@ -496,9 +660,9 @@ void Replay::on_recv(const trace::Event& e) {
   const VDur wait = non_negative(earlier(send_t, e.t) - recv_enter);
   if (wait > VDur::zero()) {
     // Wrong order: another message for us was already under way before the
-    // one we insisted on receiving was even sent.  The multiset is ordered,
-    // so checking its minimum suffices.
-    const bool wrong_order = !pend.empty() && *pend.begin() < send_t.ns();
+    // one we insisted on receiving was even sent.  Checking the oldest
+    // pending send suffices.
+    const bool wrong_order = oldest != nullptr && oldest->t < send_t;
     add_wait(wrong_order ? PropertyId::kLateSenderWrongOrder
                          : PropertyId::kLateSender,
              recv_node, e.loc, wait);
@@ -530,15 +694,15 @@ void Replay::on_coll_end(const trace::Event& e) {
   rec.exit = e.t;
   if (!st.empty()) {
     rec.node = st.back().node;
-    const trace::RegionInfo& info = trace_.regions().info(st.back().region);
-    rec.encl_kind = info.kind;
-    rec.encl_name = info.name;
+    rec.encl_kind = facts(st.back().region).kind;
+    rec.encl_region = st.back().region;
   } else {
     rec.node = kRootNode;
     rec.encl_kind = trace::RegionKind::kUser;
+    rec.encl_region = trace::kNone;
   }
   auto& group = colls_[pair_key(e.comm, e.seq)];
-  group.push_back(std::move(rec));
+  group.push_back(rec);
   const std::size_t expected = trace_.comm(e.comm).members.size();
   if (group.size() == expected) {
     process_coll_group(e.op, e.root, group);
@@ -569,11 +733,15 @@ void Replay::process_coll_group(trace::CollOp op, std::int32_t root_loc,
       prop = PropertyId::kWaitAtOmpBarrier;
       wait = clamp_wait(max_enter - r.enter);
     } else if (op == trace::CollOp::kOmpIBarrier) {
-      if (starts_with(r.encl_name, "omp for")) {
+      const std::string_view encl =
+          r.encl_region == trace::kNone
+              ? std::string_view()
+              : trace_.regions().info(r.encl_region).name;
+      if (starts_with(encl, "omp for")) {
         prop = PropertyId::kImbalanceInOmpLoop;
-      } else if (starts_with(r.encl_name, "omp sections")) {
+      } else if (starts_with(encl, "omp sections")) {
         prop = PropertyId::kImbalanceInOmpSections;
-      } else if (starts_with(r.encl_name, "omp single")) {
+      } else if (starts_with(encl, "omp single")) {
         prop = PropertyId::kImbalanceInOmpSingle;
       } else {
         prop = PropertyId::kImbalanceInParallelRegion;
@@ -599,7 +767,7 @@ void Replay::on_lock_acquire(const trace::Event& e) {
   const auto& st = stacks_[static_cast<std::size_t>(e.loc)];
   if (st.empty()) return;
   const StackEntry& top = st.back();
-  if (trace_.regions().info(top.region).kind != trace::RegionKind::kOmpSync) {
+  if (facts(top.region).kind != trace::RegionKind::kOmpSync) {
     return;
   }
   add_wait(PropertyId::kOmpLockContention, top.node, e.loc,
@@ -655,20 +823,16 @@ void Replay::classify_structural() {
   profile_.preorder([&](NodeId n, int) {
     if (n == kRootNode) return;
     const CpNode& nd = profile_.node(n);
-    const trace::RegionKind kind = trace_.regions().info(nd.region).kind;
+    const trace::RegionKind kind = facts(nd.region).kind;
     const CpNode& parent = nd.parent == kRootNode
                                ? profile_.node(kRootNode)
                                : profile_.node(nd.parent);
-    const trace::RegionKind pkind =
-        parent.region == trace::kNone
-            ? trace::RegionKind::kUser
-            : trace_.regions().info(parent.region).kind;
+    const trace::RegionKind pkind = parent.region == trace::kNone
+                                        ? trace::RegionKind::kUser
+                                        : facts(parent.region).kind;
 
     auto add_all_locs = [&](PropertyId p) {
-      for (std::size_t loc = 0; loc < nlocs_; ++loc) {
-        cube_.add(p, n, static_cast<trace::LocId>(loc),
-                  profile_.inclusive(n, static_cast<trace::LocId>(loc)));
-      }
+      cube_.add_row(p, n, profile_.inclusive_row(n));
     };
 
     if (is_mpi_kind(kind) && !is_mpi_kind(pkind)) {
@@ -731,12 +895,11 @@ void Replay::idle_threads_pass() {
     profile_.preorder([&](NodeId node, int) {
       if (node == kRootNode) return;
       const CpNode& nd = profile_.node(node);
-      const trace::RegionKind kind = trace_.regions().info(nd.region).kind;
+      const trace::RegionKind kind = facts(nd.region).kind;
       const CpNode& parent = profile_.node(nd.parent);
-      const trace::RegionKind pkind =
-          parent.region == trace::kNone
-              ? trace::RegionKind::kUser
-              : trace_.regions().info(parent.region).kind;
+      const trace::RegionKind pkind = parent.region == trace::kNone
+                                          ? trace::RegionKind::kUser
+                                          : facts(parent.region).kind;
       if (is_omp_kind(kind) && !is_omp_kind(pkind)) {
         parallel_time += profile_.inclusive(node, loc);
       }
@@ -784,7 +947,7 @@ void Replay::rank_findings(AnalysisResult& result) const {
 }
 
 AnalysisResult Replay::run() {
-  // Stream the k-way merge: the replay touches each event exactly once, so
+  // Stream the merge order: the replay touches each event exactly once, so
   // materialising (and caching) the merged pointer vector would only cost
   // allocations.
   trace_.for_each_merged([&](const trace::Event& e) {
@@ -813,12 +976,8 @@ AnalysisResult Replay::run() {
   // tables at the end of the replay never found its counterpart.  These
   // wait states are skipped, not guessed at — the DataQuality summary is
   // the honest record of what the analysis could not see.
-  for (const auto& [key, queue] : sends_) {
-    quality_.unmatched_sends += queue.size();
-  }
-  for (const auto& [key, queue] : orphans_) {
-    quality_.unmatched_recvs += queue.size();
-  }
+  quality_.unmatched_sends = sends_.live();
+  quality_.unmatched_recvs = orphans_.live();
   quality_.incomplete_collectives = colls_.size();
   quality_.unsorted_locations = trace_.unsorted_location_count();
   quality_.clock_skew_detected = quality_.skewed_messages > 0 ||

@@ -30,7 +30,12 @@ class SeverityCube {
  public:
   SeverityCube(std::size_t nlocs);
 
+  /// Adds `d` to one cell entry; non-positive `d` is ignored and creates
+  /// no cell.
   void add(PropertyId p, NodeId n, trace::LocId loc, VDur d);
+  /// add() for every location at once: `per_loc[l]` goes to location l,
+  /// with one cell lookup for the whole row.
+  void add_row(PropertyId p, NodeId n, std::span<const VDur> per_loc);
 
   VDur at(PropertyId p, NodeId n, trace::LocId loc) const;
   /// Sum over locations for one (property, node).
@@ -63,6 +68,8 @@ class SeverityCube {
     std::vector<VDur> per_loc;
   };
   const Cell* find_cell(PropertyId p, NodeId n) const;
+  /// Per-location row of (p, n), created zeroed on first use.
+  std::vector<VDur>& row(PropertyId p, NodeId n);
 
   std::size_t nlocs_;
   // One sparse (node -> per-loc) list per property; cell order is first-add

@@ -61,6 +61,13 @@ VDur CallPathProfile::inclusive(NodeId n, trace::LocId loc) const {
   return incl_[idx(n, loc)];
 }
 
+std::span<const VDur> CallPathProfile::inclusive_row(NodeId n) const {
+  require(n >= 0 && static_cast<std::size_t>(n) < nodes_.size(),
+          "CallPathProfile: bad node id");
+  return std::span<const VDur>(incl_).subspan(
+      static_cast<std::size_t>(n) * nlocs_, nlocs_);
+}
+
 VDur CallPathProfile::inclusive_total(NodeId n) const {
   VDur sum = VDur::zero();
   for (std::size_t l = 0; l < nlocs_; ++l) {

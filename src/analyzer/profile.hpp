@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,8 @@ class CallPathProfile {
   void add_visit(NodeId n, trace::LocId loc);
 
   VDur inclusive(NodeId n, trace::LocId loc) const;
+  /// inclusive() of node `n` for every location, indexed by LocId.
+  std::span<const VDur> inclusive_row(NodeId n) const;
   VDur inclusive_total(NodeId n) const;
   std::uint64_t visits(NodeId n, trace::LocId loc) const;
   std::uint64_t visits_total(NodeId n) const;

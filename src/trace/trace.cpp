@@ -1,6 +1,7 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -431,7 +432,7 @@ void Trace::set_external_events(LocId loc, std::span<const Event> events,
     first_t_[l] = events.front().t;
     last_t_[l] = events.back().t;
     // The recording path detects out-of-order timestamps incrementally; an
-    // adopted span needs the same classification so the merge pre-sorts it.
+    // adopted span needs the same classification for DataQuality.
     for (std::size_t i = 1; i < events.size(); ++i) {
       if (events[i].t < events[i - 1].t) {
         loc_sorted_[l] = false;
@@ -489,73 +490,72 @@ void Trace::for_each_chunk_of(
 
 const std::vector<const Event*>& Trace::merged() const {
   if (!merged_valid_) {
-    merged_cache_.clear();
-    merged_cache_.reserve(event_count());
-    for_each_merged([&](const Event& e) { merged_cache_.push_back(&e); });
+    const std::vector<MergeKey> order = merge_order();
+    merged_cache_.resize(order.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      merged_cache_[i] = order[i].e;
+    }
     merged_valid_ = true;
   }
   return merged_cache_;
 }
 
-// ------------------------------------------------------------ MergeCursor
+std::vector<Trace::MergeKey> Trace::merge_order() const {
+  constexpr int kDigitBits = 11;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  // Flipping the sign bit maps int64 order onto uint64 order.
+  constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
 
-MergeCursor::MergeCursor(const Trace& trace) {
-  heap_.reserve(trace.location_count());
-  for (std::size_t l = 0; l < trace.location_count(); ++l) {
-    // events_of throws for spilled locations: a spilled trace is a
-    // write-only stream until saved and reloaded.
-    const std::span<const Event> v = trace.events_of(static_cast<LocId>(l));
-    if (v.empty()) continue;
-    Run run;
-    run.loc = static_cast<LocId>(l);
-    if (trace.loc_sorted_[l]) {
-      run.head = v.data();
-      run.end = v.data() + v.size();
-    } else {
-      // Hand-built trace recorded out of time order: stable-sort this
-      // location's pointers once so each run the heap sees is sorted.
-      if (remap_.empty()) remap_.resize(trace.location_count());
-      auto& remap = remap_[l];
-      remap.reserve(v.size());
-      for (const Event& e : v) remap.push_back(&e);
-      std::stable_sort(remap.begin(), remap.end(),
-                       [](const Event* a, const Event* b) {
-                         return a->t < b->t;
-                       });
-      run.rcur = remap.data();
-      run.rend = remap.data() + remap.size();
-      run.head = *run.rcur;
-      run.end = nullptr;
-    }
-    run.t = run.head->t.ns();
-    heap_.push_back(run);
-  }
-  // Build the min-heap bottom-up.
-  for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
-}
-
-const Event* MergeCursor::next() {
-  if (heap_.empty()) return nullptr;
-  Run& top = heap_.front();
-  const Event* e = top.head;
-  if (top.rcur == nullptr) {
-    if (++top.head == top.end) {
-      top = heap_.back();
-      heap_.pop_back();
-    } else {
-      top.t = top.head->t.ns();
-    }
-  } else {
-    if (++top.rcur == top.rend) {
-      top = heap_.back();
-      heap_.pop_back();
-    } else {
-      top.head = *top.rcur;
-      top.t = top.head->t.ns();
+  // Gather location by location, in recording order: a stable sort by time
+  // then yields (time, loc, recording order).  events_of throws for spilled
+  // locations — a spilled trace is a write-only stream until reloaded.
+  std::vector<MergeKey> keys;
+  keys.reserve(event_count());
+  std::uint64_t lo = UINT64_MAX;
+  std::uint64_t hi = 0;
+  for (std::size_t l = 0; l < per_loc_.size(); ++l) {
+    for (const Event& e : events_of(static_cast<LocId>(l))) {
+      const std::uint64_t u = static_cast<std::uint64_t>(e.t.ns()) ^ kSignBit;
+      lo = std::min(lo, u);
+      hi = std::max(hi, u);
+      keys.push_back({u, &e});
     }
   }
-  if (heap_.size() > 1) sift_down(0);
-  return e;
+  if (keys.empty()) return keys;
+  const int passes =
+      (std::bit_width(hi - lo) + kDigitBits - 1) / kDigitBits;
+  if (passes == 0) return keys;  // one timestamp: recording order is final
+
+  // Offsets from the earliest time, and every pass's digit histogram in
+  // the same read.
+  std::vector<std::size_t> counts(static_cast<std::size_t>(passes) *
+                                  kBuckets);
+  for (MergeKey& k : keys) {
+    k.t -= lo;
+    for (int p = 0; p < passes; ++p) {
+      ++counts[p * kBuckets + ((k.t >> (p * kDigitBits)) & (kBuckets - 1))];
+    }
+  }
+  std::vector<MergeKey> other(keys.size());
+  for (int p = 0; p < passes; ++p) {
+    const int shift = p * kDigitBits;
+    std::size_t* count = counts.data() + p * kBuckets;
+    // A digit shared by every key would scatter into the same order.
+    if (count[(keys.front().t >> shift) & (kBuckets - 1)] == keys.size()) {
+      continue;
+    }
+    std::size_t at = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      const std::size_t n = count[b];
+      count[b] = at;
+      at += n;
+    }
+    for (const MergeKey& k : keys) {
+      other[count[(k.t >> shift) & (kBuckets - 1)]++] = k;
+    }
+    keys.swap(other);
+  }
+  return keys;
 }
 
 std::size_t Trace::unsorted_location_count() const {

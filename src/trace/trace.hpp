@@ -261,10 +261,9 @@ class Trace {
   /// All events merged into global (time, loc) order.  Events of one
   /// location keep their recording order even at equal timestamps.
   ///
-  /// The view is materialised lazily via a k-way heap merge over the
-  /// per-location buffers (O(n log k) instead of the former O(n log n)
-  /// stable_sort) and cached; appending events invalidates the cache.  Not
-  /// safe to call concurrently on the same Trace from several threads —
+  /// The view is materialised lazily from the radix merge order (see
+  /// for_each_merged) and cached; appending events invalidates the cache.
+  /// Not safe to call concurrently on the same Trace from several threads —
   /// parallel pipelines analyze one trace per thread.
   const std::vector<const Event*>& merged() const;
 
@@ -273,6 +272,14 @@ class Trace {
   /// vector.  `fn` is invoked as fn(const Event&).  This is what the
   /// analyzer's replay loop uses — a trace is merged exactly once per
   /// analysis, so the cache would only add allocation traffic.
+  ///
+  /// The order comes from a stable LSD radix sort by time over
+  /// (time offset, event) keys gathered location by location in recording
+  /// order, which is exactly (time, loc, recording order) — also for
+  /// locations recorded out of time order.  It costs one pass per 11 bits
+  /// of the trace's time range (t_max - t_min), independent of the
+  /// location count, and two transient 16-byte key buffers (32 B/event)
+  /// that are freed when the walk returns.
   template <typename Fn>
   void for_each_merged(Fn&& fn) const;
 
@@ -305,9 +312,18 @@ class Trace {
   Trace& operator=(const Trace&) = delete;
 
  private:
-  friend class MergeCursor;
-
   struct Spill;
+
+  /// One radix-sort key: the event's time offset from the trace's earliest
+  /// timestamp (unsigned, so a full int64 range cannot overflow) and the
+  /// event itself.
+  struct MergeKey {
+    std::uint64_t t;
+    const Event* e;
+  };
+  /// Every event's key in merge order (see for_each_merged).  Throws for
+  /// spilled locations.
+  std::vector<MergeKey> merge_order() const;
 
   void push(LocId loc, Event e);
   void maybe_spill();
@@ -331,9 +347,8 @@ class Trace {
   std::vector<std::vector<Event>> per_loc_;
   /// Per-location flag: false once an event is recorded with a timestamp
   /// earlier than its predecessor (possible only for hand-built traces; the
-  /// simulators record monotonically).  Unsorted buffers get a per-location
-  /// stable pre-sort inside the merge so the global order always matches
-  /// the documented (time, loc) semantics.
+  /// simulators record monotonically).  The merge needs no pre-sort for
+  /// such buffers; the flag only feeds unsorted_location_count().
   std::vector<bool> loc_sorted_;
   /// Per-location timestamp extrema, valid when loc_event_count(l) > 0.
   /// Tracked incrementally so begin/end_time need no spilled read-back.
@@ -356,112 +371,9 @@ class Trace {
   mutable bool merged_valid_ = false;
 };
 
-/// Streaming k-way merge over a Trace's per-location buffers: yields every
-/// event in global (time, loc) order, events of one location in recording
-/// order.  Used via Trace::for_each_merged(); exposed for code that wants
-/// explicit pull-style iteration.  The trace must not be appended to while
-/// a cursor is live.
-class MergeCursor {
- public:
-  explicit MergeCursor(const Trace& trace);
-
-  /// Next event in merge order; nullptr when the trace is drained.
-  const Event* next();
-
-  /// Visits every remaining event in merge order.  Faster than a next()
-  /// loop: consecutive events from the leading location are emitted with a
-  /// single comparison against the runner-up heap key, and the heap is only
-  /// re-sifted when the lead changes; once one run remains it drains in a
-  /// tight loop.  This is what Trace::for_each_merged() uses.
-  template <typename Fn>
-  void drain(Fn&& fn) {
-    while (heap_.size() > 1) {
-      Run& top = heap_.front();
-      // Runner-up: the smaller child of the root.  `top` stays the global
-      // minimum exactly while run_less(top, runner_up).
-      const Run& up = (heap_.size() > 2 && run_less(heap_[2], heap_[1]))
-                          ? heap_[2]
-                          : heap_[1];
-      const std::int64_t up_t = up.t;
-      const LocId up_loc = up.loc;
-      bool exhausted = false;
-      for (;;) {
-        fn(*top.head);
-        if (top.rcur == nullptr) {
-          if (++top.head == top.end) {
-            exhausted = true;
-            break;
-          }
-          top.t = top.head->t.ns();
-        } else {
-          if (++top.rcur == top.rend) {
-            exhausted = true;
-            break;
-          }
-          top.head = *top.rcur;
-          top.t = top.head->t.ns();
-        }
-        if (top.t > up_t || (top.t == up_t && !(top.loc < up_loc))) break;
-      }
-      if (exhausted) {
-        top = heap_.back();
-        heap_.pop_back();
-      }
-      sift_down(0);
-    }
-    if (heap_.size() == 1) {
-      const Run& top = heap_.front();
-      if (top.rcur == nullptr) {
-        for (const Event* p = top.head; p != top.end; ++p) fn(*p);
-      } else {
-        for (const Event* const* p = top.rcur; p != top.rend; ++p) fn(**p);
-      }
-      heap_.clear();
-    }
-  }
-
- private:
-  struct Run {
-    std::int64_t t;      ///< head timestamp, cached so heap comparisons
-                         ///< never chase the event pointer
-    const Event* head;   ///< current event of this location
-    const Event* end;    ///< one past the last event (contiguous runs)
-    /// Cursor over the stable time-sorted pointer remap; nullptr for
-    /// locations recorded in time order (the simulator case).
-    const Event* const* rcur = nullptr;
-    const Event* const* rend = nullptr;
-    LocId loc;
-  };
-
-  static bool run_less(const Run& a, const Run& b) {
-    if (a.t != b.t) return a.t < b.t;
-    return a.loc < b.loc;
-  }
-
-  void sift_down(std::size_t i) {
-    const std::size_t n = heap_.size();
-    for (;;) {
-      std::size_t best = i;
-      const std::size_t l = 2 * i + 1, r = 2 * i + 2;
-      if (l < n && run_less(heap_[l], heap_[best])) best = l;
-      if (r < n && run_less(heap_[r], heap_[best])) best = r;
-      if (best == i) return;
-      std::swap(heap_[i], heap_[best]);
-      i = best;
-    }
-  }
-
-  /// Min-heap of one run per non-empty location, keyed by (t, loc).
-  std::vector<Run> heap_;
-  /// Stable time-sorted pointer remap, only for locations recorded out of
-  /// order (loc_sorted_[l] == false); empty vectors otherwise.
-  std::vector<std::vector<const Event*>> remap_;
-};
-
 template <typename Fn>
 void Trace::for_each_merged(Fn&& fn) const {
-  MergeCursor cursor(*this);
-  cursor.drain(fn);
+  for (const MergeKey& k : merge_order()) fn(*k.e);
 }
 
 }  // namespace ats::trace

@@ -344,6 +344,21 @@ TEST(Analyzer, SeverityCubeBasics) {
   EXPECT_EQ(cube.nodes_of(PropertyId::kLateSender).size(), 2u);
 }
 
+TEST(Analyzer, SeverityCubeAddRowMatchesPerLocationAdds) {
+  SeverityCube cube(3);
+  const std::vector<VDur> row = {VDur::nanos(-4), VDur::zero(),
+                                 VDur::nanos(6)};
+  cube.add(PropertyId::kMpi, 2, 2, VDur::nanos(1));
+  cube.add_row(PropertyId::kMpi, 2, row);
+  EXPECT_EQ(cube.at(PropertyId::kMpi, 2, 0), VDur::zero());
+  EXPECT_EQ(cube.at(PropertyId::kMpi, 2, 2), VDur::nanos(7));
+  // A row with no positive entry creates no cell.
+  const std::vector<VDur> none = {VDur::nanos(-1), VDur::zero(),
+                                  VDur::zero()};
+  cube.add_row(PropertyId::kMpi, 5, none);
+  EXPECT_EQ(cube.nodes_of(PropertyId::kMpi), (std::vector<NodeId>{2}));
+}
+
 TEST(PropertyTree, HierarchyIsWellFormed) {
   EXPECT_EQ(property_info(PropertyId::kLateSender).parent,
             PropertyId::kMpiP2P);
@@ -474,6 +489,98 @@ TEST(AnalyzerEdge, RecvWithoutAnySendIsParkedNotFatal) {
   t.recv(1, VTime(30), 0, 0, comm, 8);  // no matching send record at all
   t.exit(1, VTime(30), reg);
   EXPECT_NO_THROW(analyze(t));
+}
+
+trace::Trace ranks_trace(int n) {
+  trace::Trace t;
+  for (int i = 0; i < n; ++i) {
+    trace::LocationInfo li;
+    li.id = i;
+    li.kind = trace::LocKind::kProcess;
+    li.rank = i;
+    li.name = "rank " + std::to_string(i);
+    t.add_location(std::move(li));
+  }
+  return t;
+}
+
+TEST(AnalyzerMatching, RecvReplayedBeforeEqualTimeSendIsLateSender) {
+  // At t=100 location 0's receive completion sorts before location 1's
+  // send record, so the replay sees the receive first and must park it.
+  trace::Trace t = ranks_trace(2);
+  const auto comm = t.add_comm(trace::CommKind::kMpiComm, {0, 1}, "w");
+  const auto recv = t.regions().intern("MPI_Recv", trace::RegionKind::kMpiP2P);
+  const auto send = t.regions().intern("MPI_Send", trace::RegionKind::kMpiP2P);
+  t.enter(0, VTime(0), recv);
+  t.recv(0, VTime(100), 1, 3, comm, 8);
+  t.exit(0, VTime(100), recv);
+  t.enter(1, VTime(90), send);
+  t.send(1, VTime(100), 0, 3, comm, 8);
+  t.exit(1, VTime(110), send);
+  const auto result = analyze(t);
+  EXPECT_EQ(result.cube.total(PropertyId::kLateSender), VDur::nanos(100));
+  EXPECT_EQ(result.cube.total(PropertyId::kLateReceiver), VDur::zero());
+  EXPECT_EQ(result.quality.skewed_messages, 0u);
+  EXPECT_EQ(result.quality.unmatched_sends, 0u);
+  EXPECT_EQ(result.quality.unmatched_recvs, 0u);
+  EXPECT_TRUE(result.quality.clean());
+}
+
+TEST(AnalyzerMatching, WrongOrderWithEqualTimePendingSends) {
+  // Location 1 sends tags 1 and 2 at t=10 and tag 3 at t=50.  Location 0
+  // receives tag 2 first: the other pending send (tag 1) is not older, so
+  // that wait is a plain late sender.  It then receives tag 3 while tag 1
+  // is still pending and older: wrong order.
+  trace::Trace t = ranks_trace(2);
+  const auto comm = t.add_comm(trace::CommKind::kMpiComm, {0, 1}, "w");
+  const auto recv = t.regions().intern("MPI_Recv", trace::RegionKind::kMpiP2P);
+  t.send(1, VTime(10), 0, 1, comm, 8);
+  t.send(1, VTime(10), 0, 2, comm, 8);
+  t.send(1, VTime(50), 0, 3, comm, 8);
+  t.enter(0, VTime(0), recv);
+  t.recv(0, VTime(20), 1, 2, comm, 8);
+  t.exit(0, VTime(20), recv);
+  t.enter(0, VTime(20), recv);
+  t.recv(0, VTime(60), 1, 3, comm, 8);
+  t.exit(0, VTime(60), recv);
+  t.enter(0, VTime(60), recv);
+  t.recv(0, VTime(70), 1, 1, comm, 8);
+  t.exit(0, VTime(70), recv);
+  const auto result = analyze(t);
+  EXPECT_EQ(result.cube.total(PropertyId::kLateSender), VDur::nanos(10));
+  EXPECT_EQ(result.cube.total(PropertyId::kLateSenderWrongOrder),
+            VDur::nanos(30));
+  EXPECT_EQ(result.quality.unmatched_sends, 0u);
+  EXPECT_EQ(result.quality.unmatched_recvs, 0u);
+  EXPECT_EQ(result.quality.skewed_messages, 0u);
+}
+
+TEST(AnalyzerMatching, UnmatchedSendsAndRecvsAreCounted) {
+  trace::Trace t = ranks_trace(3);
+  const auto comm = t.add_comm(trace::CommKind::kMpiComm, {0, 1, 2}, "w");
+  const auto recv = t.regions().intern("MPI_Recv", trace::RegionKind::kMpiP2P);
+  const auto work = t.regions().intern("w", trace::RegionKind::kWork);
+  // Two sends nobody receives, one consumed send.
+  t.send(1, VTime(5), 0, 7, comm, 8);
+  t.send(1, VTime(6), 0, 7, comm, 8);
+  t.send(2, VTime(5), 0, 1, comm, 8);
+  t.enter(0, VTime(0), recv);
+  t.recv(0, VTime(10), 2, 1, comm, 8);
+  t.exit(0, VTime(10), recv);
+  // Two receives inside MPI_Recv whose sends were never recorded.
+  t.enter(0, VTime(20), recv);
+  t.recv(0, VTime(30), 2, 9, comm, 8);
+  t.recv(0, VTime(31), 1, 9, comm, 8);
+  t.exit(0, VTime(31), recv);
+  // A receive outside any P2P region without a send is not parked.
+  t.enter(2, VTime(40), work);
+  t.recv(2, VTime(45), 1, 4, comm, 8);
+  t.exit(2, VTime(50), work);
+  const auto result = analyze(t);
+  EXPECT_EQ(result.quality.unmatched_sends, 2u);
+  EXPECT_EQ(result.quality.unmatched_recvs, 2u);
+  EXPECT_FALSE(result.quality.clean());
+  EXPECT_EQ(result.cube.total(PropertyId::kLateSender), VDur::nanos(5));
 }
 
 TEST(AnalyzerEdge, LocationWithNoEventsContributesNothing) {

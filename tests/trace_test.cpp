@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -191,6 +192,123 @@ TEST(Trace, MergedMatchesReferenceOnRandomTraces) {
           << "round " << round << " diverged at index " << i;
     }
   }
+}
+
+/// Checks both merge entry points against reference_merged().
+void expect_reference_order(const Trace& t) {
+  const auto ref = reference_merged(t);
+  std::vector<const Event*> streamed;
+  t.for_each_merged([&](const Event& e) { streamed.push_back(&e); });
+  ASSERT_EQ(streamed.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(streamed[i], ref[i]) << "diverged at merged index " << i;
+  }
+  EXPECT_EQ(t.merged(), ref);
+}
+
+Trace trace_with_locations(int nlocs) {
+  Trace t;
+  for (int l = 0; l < nlocs; ++l) {
+    t.add_location(proc_info(l, "loc" + std::to_string(l)));
+  }
+  return t;
+}
+
+TEST(TraceMergeOrder, NegativeTimestamps) {
+  Trace t = trace_with_locations(3);
+  const RegionId r = t.regions().intern("x", RegionKind::kUser);
+  t.enter(0, VTime(-5), r);
+  t.enter(1, VTime(-1000000007), r);
+  t.enter(2, VTime(-5), r);
+  t.enter(1, VTime(0), r);
+  t.enter(0, VTime(3), r);
+  t.enter(2, VTime(-4), r);
+  expect_reference_order(t);
+  EXPECT_EQ(t.merged().front()->t, VTime(-1000000007));
+}
+
+TEST(TraceMergeOrder, FullInt64Range) {
+  // The time range spans all 64 bits: a signed t_max - t_min overflows.
+  const std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+  Trace t = trace_with_locations(2);
+  const RegionId r = t.regions().intern("x", RegionKind::kUser);
+  t.enter(1, VTime(hi), r);
+  t.enter(0, VTime(hi), r);
+  t.enter(0, VTime(lo), r);
+  t.enter(1, VTime(0), r);
+  t.enter(1, VTime(lo), r);
+  t.enter(0, VTime(-1), r);
+  expect_reference_order(t);
+  const auto& m = t.merged();
+  EXPECT_EQ(m.front()->t, VTime(lo));
+  EXPECT_EQ(m.back()->t, VTime(hi));
+}
+
+TEST(TraceMergeOrder, EmptyLocationsBetweenNonEmptyOnes) {
+  Trace t = trace_with_locations(7);
+  const RegionId r = t.regions().intern("x", RegionKind::kUser);
+  for (int i = 0; i < 4; ++i) {
+    t.enter(1, VTime(i * 10), r);
+    t.enter(4, VTime(i * 10 + 5), r);
+    t.enter(5, VTime(i * 10), r);
+  }
+  expect_reference_order(t);
+}
+
+TEST(TraceMergeOrder, SingleLocation) {
+  Trace t = trace_with_locations(1);
+  const RegionId r = t.regions().intern("x", RegionKind::kUser);
+  const RegionId s = t.regions().intern("y", RegionKind::kWork);
+  t.enter(0, VTime(10), r);
+  t.enter(0, VTime(10), s);
+  t.exit(0, VTime(20), s);
+  t.exit(0, VTime(30), r);
+  expect_reference_order(t);
+}
+
+TEST(TraceMergeOrder, OutOfOrderLocationWithTies) {
+  Trace t = trace_with_locations(3);
+  const RegionId r = t.regions().intern("x", RegionKind::kUser);
+  const RegionId s = t.regions().intern("y", RegionKind::kWork);
+  // loc 1 goes back in time twice and repeats timestamps on both sides.
+  t.enter(1, VTime(30), r);
+  t.enter(1, VTime(10), s);
+  t.exit(1, VTime(30), s);
+  t.enter(1, VTime(10), r);
+  t.exit(1, VTime(20), r);
+  t.enter(0, VTime(10), r);
+  t.enter(0, VTime(30), r);
+  t.enter(2, VTime(20), s);
+  t.enter(2, VTime(10), r);
+  EXPECT_EQ(t.unsorted_location_count(), 2u);
+  expect_reference_order(t);
+}
+
+TEST(TraceMergeOrder, ManyLocationLockstep) {
+  // The simulator's many-rank shape: every location steps through the
+  // same 15 timestamps, so nearly every event ties with all locations.
+  Trace t = trace_with_locations(1024);
+  const RegionId r = t.regions().intern("x", RegionKind::kUser);
+  const RegionId s = t.regions().intern("y", RegionKind::kWork);
+  for (LocId l = 0; l < 1024; ++l) {
+    for (int step = 0; step < 15; ++step) {
+      t.enter(l, VTime(step * 1000), r);
+      if (step % 4 == 1) t.enter(l, VTime(step * 1000), s);
+    }
+  }
+  expect_reference_order(t);
+}
+
+TEST(TraceMergeOrder, SpilledTraceThrows) {
+  const char* spill_path = "trace_test.merge.spill";
+  Trace t = trace_with_locations(2);
+  t.enable_spill(spill_path, 256);
+  const RegionId r = t.regions().intern("x", RegionKind::kUser);
+  for (int i = 0; i < 100; ++i) t.enter(i % 2, VTime(i), r);
+  ASSERT_GT(t.spilled_bytes(), 0u);
+  EXPECT_THROW(t.for_each_merged([](const Event&) {}), TraceError);
+  EXPECT_THROW((void)t.merged(), TraceError);
 }
 
 TEST(Trace, MergedCacheInvalidatedByAppend) {
