@@ -22,19 +22,13 @@ namespace {
 
 using namespace ats;
 
-// The substrate benchmarks run once per execution backend: a handoff is
-// two fiber switches (userspace register swaps) on kFiber and two OS
-// context switches (condition-variable + futex) on kThread.  Both produce
-// bit-identical simulations; only wall time moves.
+// A scheduler handoff is two fiber switches (userspace register swaps).
 
-void BM_SchedulerHandoff(benchmark::State& state,
-                         simt::EngineBackend backend) {
+void BM_SchedulerHandoff(benchmark::State& state) {
   // Cost of one yield (one scheduler round-trip) measured over a batch.
   const int yields_per_run = 1000;
   for (auto _ : state) {
-    simt::EngineOptions opt;
-    opt.backend = backend;
-    simt::Engine eng(opt);
+    simt::Engine eng;
     eng.add_location("a", [&](simt::Context& c) {
       for (int i = 0; i < yields_per_run; ++i) c.yield();
     });
@@ -42,17 +36,12 @@ void BM_SchedulerHandoff(benchmark::State& state,
   }
   state.SetItemsProcessed(state.iterations() * yields_per_run);
 }
-BENCHMARK_CAPTURE(BM_SchedulerHandoff, fiber, simt::EngineBackend::kFiber)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SchedulerHandoff, thread, simt::EngineBackend::kThread)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SchedulerHandoff)->Unit(benchmark::kMillisecond);
 
-void BM_P2PMessageRate(benchmark::State& state,
-                       simt::EngineBackend backend) {
+void BM_P2PMessageRate(benchmark::State& state) {
   const int msgs = static_cast<int>(state.range(0));
   for (auto _ : state) {
     mpi::MpiRunOptions opt;
-    opt.engine.backend = backend;
     opt.nprocs = 2;
     mpi::run_mpi(opt, [&](mpi::Proc& p) {
       int v = 0;
@@ -69,20 +58,13 @@ void BM_P2PMessageRate(benchmark::State& state,
   }
   state.SetItemsProcessed(state.iterations() * msgs);
 }
-BENCHMARK_CAPTURE(BM_P2PMessageRate, fiber, simt::EngineBackend::kFiber)
-    ->Arg(500)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_P2PMessageRate, thread, simt::EngineBackend::kThread)
-    ->Arg(500)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_P2PMessageRate)->Arg(500)->Unit(benchmark::kMillisecond);
 
-void BM_CollectiveRate(benchmark::State& state,
-                       simt::EngineBackend backend) {
+void BM_CollectiveRate(benchmark::State& state) {
   const int np = static_cast<int>(state.range(0));
   const int colls = 50;
   for (auto _ : state) {
     mpi::MpiRunOptions opt;
-    opt.engine.backend = backend;
     opt.nprocs = np;
     mpi::run_mpi(opt, [&](mpi::Proc& p) {
       for (int i = 0; i < colls; ++i) p.barrier(p.comm_world());
@@ -90,14 +72,7 @@ void BM_CollectiveRate(benchmark::State& state,
   }
   state.SetItemsProcessed(state.iterations() * colls * np);
 }
-BENCHMARK_CAPTURE(BM_CollectiveRate, fiber, simt::EngineBackend::kFiber)
-    ->Arg(4)
-    ->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_CollectiveRate, thread, simt::EngineBackend::kThread)
-    ->Arg(4)
-    ->Arg(16)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CollectiveRate)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
 
 void BM_DistributionEval(benchmark::State& state) {
   const core::Distribution d = core::Distribution::linear(0.01, 0.05);

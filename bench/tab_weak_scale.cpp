@@ -1,7 +1,7 @@
 // TAB-WS: weak-scaling sweep of the simulation engine (ISSUE 6).
 //
 // Runs the same registry property (late_sender, canonical positive
-// parameters) at N = 64 ... 100000 ranks on the fiber backend and records,
+// parameters) at N = 64 ... 100000 ranks (every rank a fiber) and records,
 // per point:
 //   * generation throughput (trace events per wall-clock second),
 //   * a peak-RSS proxy (VmHWM delta of a forked child, so points do not
@@ -106,7 +106,6 @@ Point run_point(int n) {
 
   mpi::MpiRunOptions opt;
   opt.nprocs = n;
-  opt.engine.backend = simt::EngineBackend::kFiber;
   opt.engine.max_locations = static_cast<std::size_t>(n) + 8;
   // The default supervision budgets (src/runner): the acceptance gate is
   // that 100k ranks finish inside them.
@@ -172,7 +171,7 @@ int main(int argc, char** argv) {
     if (n <= max_n) ns.push_back(n);
   }
 
-  std::printf("TAB-WS weak-scaling sweep: late_sender, fiber backend\n");
+  std::printf("TAB-WS weak-scaling sweep: late_sender, fibers\n");
   std::printf("%8s %12s %14s %12s %14s %14s\n", "ranks", "events",
               "events/sec", "bytes/loc", "spilled", "replay ev/s");
 

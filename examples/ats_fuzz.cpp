@@ -1,8 +1,8 @@
 // ats_fuzz — the metamorphic fuzzing harness (DESIGN.md §10).
 //
 // Draws deterministic random composite programs from master seeds, runs
-// each through the whole pipeline (simulate on both engine backends,
-// serialise, reload, analyse, optionally corrupt), and checks the oracle
+// each through the whole pipeline (simulate twice, serialise, reload,
+// analyse, optionally corrupt), and checks the oracle
 // relations of src/proptest/oracle.hpp.  Any violating spec is printed —
 // and, with --shrink, minimised by delta debugging — as a self-contained
 // `.ats-repro` file that `ats_fuzz --replay` re-executes exactly.
@@ -33,7 +33,7 @@ constexpr const char* kUsage =
     "usage: ats_fuzz [options]\n"
     "\n"
     "Fuzzes the ATS pipeline with randomized composite programs and\n"
-    "metamorphic / differential / invariant oracles.\n"
+    "metamorphic / determinism / differential / invariant oracles.\n"
     "\n"
     "  --seeds N       number of master seeds to fuzz (default 100)\n"
     "  --start S       first master seed (default 1)\n"

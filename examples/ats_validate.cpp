@@ -9,9 +9,7 @@
 // (tests/golden/): one canonical trace plus its expected severity dump per
 // registry property.  Without --regen it re-simulates every property and
 // compares both artifacts byte-for-byte — any drift in the simulator, the
-// trace format, or the analyzer fails the check.  Backend parity makes the
-// same corpus valid for the fiber and thread engines, so the CI backend
-// matrix covers both.
+// trace format, or the analyzer fails the check.
 //
 // The sweep also covers the defect program family (docs/DEFECTS.md): each
 // entry's salvaged trace and rendered structural-defect report are pinned

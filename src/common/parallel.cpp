@@ -56,6 +56,10 @@ void ThreadPool::worker_main() {
     }
     if (!grid) continue;  // grid already finished by faster peers
     drain(*grid);
+    // Notify under mu_: the caller checks grid->done while holding it, so
+    // an unlocked notify can fall between that check and its wait and be
+    // lost, leaving the caller asleep on a finished grid.
+    std::lock_guard<std::mutex> lk(mu_);
     done_cv_.notify_one();
   }
 }

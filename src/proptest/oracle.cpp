@@ -276,7 +276,7 @@ const char* to_string(Oracle o) {
     case Oracle::kNegativeQuiet: return "negative-quiet";
     case Oracle::kMonotone: return "monotone";
     case Oracle::kMaskPermutation: return "mask-permutation";
-    case Oracle::kBackendDifferential: return "backend-differential";
+    case Oracle::kDeterminism: return "determinism";
     case Oracle::kLoaderDifferential: return "loader-differential";
     case Oracle::kFormatDifferential: return "format-differential";
     case Oracle::kCorruptionInvariant: return "corruption-invariant";
@@ -297,14 +297,13 @@ std::string CheckResult::str() const {
   return os.str();
 }
 
-RunResult run_program(const ProgramSpec& spec, simt::EngineBackend backend) {
+RunResult run_program(const ProgramSpec& spec) {
   RunResult res;
   const int nprocs = effective_nprocs(spec);
 
   gen::RunConfig cfg;
   cfg.nprocs = nprocs;
   cfg.engine.seed = SplitSeed(spec.seed).child("engine").value();
-  cfg.engine.backend = backend;
   cfg.engine.virtual_time_limit = VDur::seconds(kVirtualLimitSec);
   cfg.engine.yield_limit = kYieldLimit;
   cfg.faults = fault_plan(spec, nprocs);
@@ -365,11 +364,9 @@ CheckResult check_spec(const ProgramSpec& spec, const CheckOptions& options) {
 
   const auto& reg = gen::Registry::instance();
   const std::vector<RunOutcome> expected = expected_outcomes(spec);
-  auto check_outcome = [&](const RunResult& r, const char* backend) {
+  auto check_outcome = [&](const RunResult& r) {
     if (r.unclassified) {
-      violate(Oracle::kOutcome, std::string(backend) +
-                                    ": unclassified exception escaped: " +
-                                    r.error);
+      violate(Oracle::kOutcome, "unclassified exception escaped: " + r.error);
       return;
     }
     if (std::find(expected.begin(), expected.end(), r.outcome) ==
@@ -379,43 +376,43 @@ CheckResult check_spec(const ProgramSpec& spec, const CheckOptions& options) {
         if (!want.empty()) want += "|";
         want += gen::to_string(o);
       }
-      violate(Oracle::kOutcome, std::string(backend) + ": outcome " +
+      violate(Oracle::kOutcome, std::string("outcome ") +
                                     gen::to_string(r.outcome) +
                                     ", expected " + want +
                                     (r.error.empty() ? "" : " (" + r.error + ")"));
     }
   };
+  auto ended = [](const RunResult& r) -> std::string {
+    return r.unclassified ? "unclassified" : gen::to_string(r.outcome);
+  };
 
-  // --- crash/hang + backend-differential oracles -------------------------
-  RunResult base = run_program(spec, simt::EngineBackend::kFiber);
+  // --- crash/hang + determinism oracles -----------------------------------
+  // The same spec runs twice in this process; the runs must agree on the
+  // outcome and serialise byte-identical (possibly salvaged) traces.
+  RunResult base = run_program(spec);
   res.outcome = base.outcome;
-  check_outcome(base, "fiber");
-  const RunResult threads = run_program(spec, simt::EngineBackend::kThread);
-  check_outcome(threads, "thread");
-
-  if (!base.unclassified && !threads.unclassified) {
-    if (threads.outcome != base.outcome) {
-      violate(Oracle::kBackendDifferential,
-              std::string("fiber ended ") + gen::to_string(base.outcome) +
-                  ", thread ended " + gen::to_string(threads.outcome));
-    } else if (base.outcome == RunOutcome::kOk) {
-      if (save_text(base.trace) != save_text(threads.trace)) {
-        violate(Oracle::kBackendDifferential,
-                "fiber and thread traces are not bit-identical");
-      }
-    }
+  check_outcome(base);
+  const RunResult again = run_program(spec);
+  if (ended(again) != ended(base)) {
+    violate(Oracle::kDeterminism, "first run ended " + ended(base) +
+                                      ", second run ended " + ended(again));
+  } else if (!base.unclassified &&
+             save_text(base.trace) != save_text(again.trace)) {
+    violate(Oracle::kDeterminism,
+            "the two runs' traces are not bit-identical");
   }
 
   // --- injected collective defect: must-detect oracle ---------------------
   // The remaining oracles assume a structurally sound program, so a spec
   // with an injected miscall is judged here and returns: the checker must
-  // report the expected DefectKind from each backend's salvaged trace, and
-  // both backends must render identical defect reports.
+  // report the expected DefectKind from the salvaged trace, and both runs
+  // must render identical defect reports.
   if (spec.coll_defect != SpecCollDefect::kNone) {
     const analyze::DefectKind want = defect_kind(spec.coll_defect);
-    auto defect_report =
-        [&](const RunResult& r,
-            const char* backend) -> std::optional<std::string> {
+    // Judges the first run only; the second is analysed just to compare
+    // the rendered reports.
+    auto defect_report = [&](const RunResult& r,
+                             bool judge) -> std::optional<std::string> {
       if (r.unclassified) return std::nullopt;
       AnalyzerOptions lenient;
       lenient.disabled_patterns = options.disabled_patterns;
@@ -427,27 +424,26 @@ CheckResult check_spec(const ProgramSpec& spec, const CheckOptions& options) {
                         [&](const analyze::StructuralDefect& d) {
                           return d.kind == want;
                         });
-        if (!found) {
+        if (judge && !found) {
           violate(Oracle::kCollectiveCheck,
-                  std::string(backend) + ": injected " +
-                      std::string(to_string(spec.coll_defect)) +
+                  "injected " + std::string(to_string(spec.coll_defect)) +
                       " not reported (" + std::to_string(dar.defects.size()) +
                       " defects found)");
         }
         return report::render_defects(dar, r.trace);
       } catch (const std::exception& e) {
-        violate(Oracle::kCollectiveCheck,
-                std::string(backend) +
-                    ": analysis of the salvaged trace threw: " +
-                    first_line(e.what()));
+        if (judge) {
+          violate(Oracle::kCollectiveCheck,
+                  "analysis of the salvaged trace threw: " +
+                      first_line(e.what()));
+        }
         return std::nullopt;
       }
     };
-    const auto fiber_report = defect_report(base, "fiber");
-    const auto thread_report = defect_report(threads, "thread");
-    if (fiber_report && thread_report && *fiber_report != *thread_report) {
-      violate(Oracle::kBackendDifferential,
-              "fiber and thread defect reports differ");
+    const auto first_report = defect_report(base, true);
+    const auto second_report = defect_report(again, false);
+    if (first_report && second_report && *first_report != *second_report) {
+      violate(Oracle::kDeterminism, "the two runs' defect reports differ");
     }
     return res;
   }
@@ -616,8 +612,7 @@ CheckResult check_spec(const ProgramSpec& spec, const CheckOptions& options) {
       if (has_delay_knob(def) && spec.rank_fault == SpecRankFault::kNone) {
         ProgramSpec doubled = spec;
         doubled.delay_us *= 2;
-        const RunResult more =
-            run_program(doubled, simt::EngineBackend::kFiber);
+        const RunResult more = run_program(doubled);
         if (more.outcome != RunOutcome::kOk || more.unclassified) {
           violate(Oracle::kMonotone,
                   std::string("doubled-delay variant ended ") +

@@ -1,12 +1,50 @@
 #include "simt/engine.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
-#include "common/env.hpp"
-#include "simt/backend.hpp"
+#include "simt/fiber.hpp"
 
 namespace ats::simt {
+
+namespace detail {
+
+/// Thrown through parked locations to unwind their stacks during poisoned
+/// shutdown; location_main absorbs it.  Never escapes the engine.
+struct ShutdownSignal {};
+
+struct Location {
+  LocationId id = kNoLocation;
+  LocationId parent = kNoLocation;
+  std::string name;
+  LocationBody body;
+  LocationState state = LocationState::kRunnable;
+  const char* block_reason = "";
+  VTime now;
+  std::exception_ptr error;
+  std::unique_ptr<Context> context;
+  std::unique_ptr<Rng> rng;
+  // join bookkeeping: set while blocked in Context::join()
+  std::vector<LocationId> joining;
+  // Reverse index: locations blocked in join() waiting on *this* location.
+  // Lets a finishing location wake exactly its joiners instead of scanning
+  // every location (the scan was O(locations) per finish — quadratic over
+  // a 100k-location run).
+  std::vector<LocationId> waiters;
+  // supervision hook (set_resume_hook); in_hook guards re-entry when the
+  // hook itself advances or yields.
+  LocationBody resume_hook;
+  bool in_hook = false;
+  // The fiber and its pooled stack exist only between the first resume and
+  // the finish, so the pool holds stacks for *active* locations only: a
+  // spawned-but-idle or finished location costs a few hundred bytes, not a
+  // quarter-megabyte of pages.
+  std::optional<Fiber> fiber;
+  char* slab = nullptr;
+};
+
+}  // namespace detail
 
 const char* to_string(LocationState s) {
   switch (s) {
@@ -16,36 +54,6 @@ const char* to_string(LocationState s) {
     case LocationState::kFinished: return "finished";
   }
   return "?";
-}
-
-const char* to_string(EngineBackend b) {
-  switch (b) {
-    case EngineBackend::kAuto: return "auto";
-    case EngineBackend::kFiber: return "fiber";
-    case EngineBackend::kThread: return "thread";
-  }
-  return "?";
-}
-
-EngineBackend resolve_backend(EngineBackend requested) {
-  if (requested == EngineBackend::kAuto) {
-    if (const auto env = env_value("ATS_ENGINE_BACKEND")) {
-      if (*env == "fiber") {
-        requested = EngineBackend::kFiber;
-      } else if (*env == "thread") {
-        requested = EngineBackend::kThread;
-      } else {
-        throw UsageError("ATS_ENGINE_BACKEND: unknown backend '" + *env +
-                         "' (expected fiber or thread)");
-      }
-    }
-    if (requested == EngineBackend::kAuto) requested = EngineBackend::kFiber;
-  }
-#if !ATS_SIMT_HAS_FIBERS
-  // ThreadSanitizer cannot follow fiber switches; fibers are compiled out.
-  if (requested == EngineBackend::kFiber) requested = EngineBackend::kThread;
-#endif
-  return requested;
 }
 
 namespace {
@@ -80,29 +88,25 @@ void Context::advance_to(VTime t) {
 
 void Context::yield() {
   detail::Location* l = engine_->loc(id_);
-  if (engine_->poisoned_.load(std::memory_order_acquire)) {
-    throw detail::ShutdownSignal{};
-  }
+  if (engine_->poisoned_) throw detail::ShutdownSignal{};
   engine_->check_running(id_, "Context::yield");
   ++engine_->stats_.yields;
   engine_->make_runnable(l);
-  engine_->backend_->suspend(l);
+  engine_->park(l);
   l->state = LocationState::kRunning;
   engine_->run_resume_hook(l);
 }
 
 void Context::block(const char* reason) {
   detail::Location* l = engine_->loc(id_);
-  if (engine_->poisoned_.load(std::memory_order_acquire)) {
-    throw detail::ShutdownSignal{};
-  }
+  if (engine_->poisoned_) throw detail::ShutdownSignal{};
   engine_->check_running(id_, "Context::block");
   ++engine_->stats_.blocks;
   l->state = LocationState::kBlocked;
   l->block_reason = reason;
   // No ready-queue entry: Engine::wake (or a finishing join child) pushes
   // one when this location becomes runnable again.
-  engine_->backend_->suspend(l);
+  engine_->park(l);
   l->state = LocationState::kRunning;
   l->block_reason = "";
   engine_->run_resume_hook(l);
@@ -155,14 +159,11 @@ void Context::join(std::span<const LocationId> children) {
 // ----------------------------------------------------------------- Engine
 
 Engine::Engine(EngineOptions options)
-    : options_(options),
-      backend_kind_(resolve_backend(options.backend)),
-      backend_(detail::make_backend(backend_kind_, this, options_)) {}
+    : options_(options), pool_(options.fiber_stack_bytes) {}
 
 Engine::~Engine() {
   // Normal completion (and every failure path) shuts down inside run();
-  // this covers engines that were never run.  Parked locations are
-  // unwound so stacks and threads are released before members die.
+  // this covers engines that were never run.
   shutdown();
 }
 
@@ -194,7 +195,7 @@ void Engine::set_resume_hook(LocationId id, LocationBody hook) {
 }
 
 void Engine::run_resume_hook(detail::Location* l) {
-  // Runs in the location's execution context with the token held.  The
+  // Runs on the location's fiber with the token held.  The
   // hook may advance/yield (which re-enters this function; in_hook
   // suppresses the recursion) and may throw into the location body.
   if (!l->resume_hook || l->in_hook) return;
@@ -226,40 +227,57 @@ LocationId Engine::spawn_internal(std::string name, LocationBody body,
   detail::Location* raw = l.get();
   locations_.push_back(std::move(l));
   ++stats_.spawns;
-  backend_->adopt(raw);
   make_runnable(raw);
   return id;
 }
 
 void Engine::location_main(detail::Location* l) {
-  // The body driver, run inside the location's execution context by the
-  // backend (fiber trampoline / location thread) each time from the top.
+  // The entry of every location's fiber, run once from the top.
   l->state = LocationState::kRunning;
-  // Token is held here on both backends, so the counters need no lock.
   ++stats_.live_locations;
   if (stats_.live_locations > stats_.peak_live_locations) {
     stats_.peak_live_locations = stats_.live_locations;
   }
-  bool unwound = false;
   try {
     run_resume_hook(l);
     l->body(*l->context);
   } catch (detail::ShutdownSignal) {
-    unwound = true;  // poisoned teardown; not an error
+    // poisoned teardown; not an error
   } catch (...) {
     l->error = std::current_exception();
-  }
-  if (unwound || poisoned_.load(std::memory_order_acquire)) {
-    // Poisoned teardown: locations exit concurrently on the thread
-    // backend, so shared bookkeeping is deferred to Engine::shutdown().
-    return;
   }
   l->state = LocationState::kFinished;
   ++finished_count_;
   --stats_.live_locations;
+  // During teardown the run's outcome is already decided: errors raised
+  // while unwinding are dropped and nobody is woken.
+  if (poisoned_) return;
   if (l->error && !first_error_) first_error_ = l->error;
   maybe_wake_joiners(l);
-  // The backend performs the final handoff to the scheduler on return.
+  // Returning makes the fiber's final switch back to the scheduler.
+}
+
+void Engine::resume(detail::Location* l) {
+  if (!l->fiber) {
+    l->slab = pool_.acquire();
+    l->fiber.emplace(l->slab, pool_.slab_bytes(),
+                     [this, l] { location_main(l); });
+  }
+  l->fiber->resume();
+  if (l->fiber->finished()) {
+    // Control is back on the scheduler's stack, so no live frame can touch
+    // the slab any more: recycle it now.
+    l->fiber.reset();
+    pool_.release(l->slab);
+    l->slab = nullptr;
+  }
+}
+
+void Engine::park(detail::Location* l) {
+  l->fiber->suspend();
+  // shutdown() resumes parked fibers exactly so that this throw unwinds
+  // their stacks at the park point.
+  if (poisoned_) throw detail::ShutdownSignal{};
 }
 
 void Engine::make_runnable(detail::Location* l) {
@@ -353,7 +371,7 @@ void Engine::run() {
       break;
     }
     running_ = next->id;
-    backend_->resume(next);
+    resume(next);
     running_ = kNoLocation;
   }
   shutdown();
@@ -365,19 +383,20 @@ void Engine::run() {
 void Engine::shutdown() {
   if (shutdown_done_) return;
   shutdown_done_ = true;
-  poisoned_.store(true, std::memory_order_release);
-  if (backend_) backend_->shutdown();
-  // The backend has quiesced: finish bookkeeping for every location that
-  // was unwound (or never started) is safe single-threaded here.
+  poisoned_ = true;
+  // Unwind every parked fiber: resuming it makes park() throw
+  // ShutdownSignal at its park point, the throw/catch runs on the fiber's
+  // own stack (so parked frames' destructors run), location_main absorbs
+  // the signal and the fiber finishes.  It cannot park again: every
+  // Context call throws once the engine is poisoned.  Locations that never
+  // started have no fiber and are only marked finished.
   for (auto& l : locations_) {
+    if (l->fiber) resume(l.get());
     if (l->state != LocationState::kFinished) {
       l->state = LocationState::kFinished;
       ++finished_count_;
     }
   }
-  // Unwound locations skipped their own decrement (they must not touch
-  // engine state on the poisoned path); everything is finished now.
-  stats_.live_locations = 0;
 }
 
 std::string Engine::state_dump(const std::string& headline) const {
@@ -390,9 +409,9 @@ std::string Engine::state_dump(const std::string& headline) const {
                                                 << ")";
     os << "\n";
   }
-  // Peak-RSS proxy: live location count (== live fiber stacks on the fiber
-  // backend) plus the trace payload when a probe is installed.  Everything
-  // here is backend-deterministic — parity tests compare dumps verbatim.
+  // Peak-RSS proxy: live location count (== live fiber stacks) plus the
+  // trace payload when a probe is installed.  Everything here is
+  // deterministic — tests compare dumps verbatim across runs.
   os << "  resources: locations=" << locations_.size() << " live="
      << stats_.live_locations << " peak=" << stats_.peak_live_locations;
   if (resource_probe_) {
@@ -444,27 +463,5 @@ VTime Engine::horizon() const {
   for (const auto& l : locations_) h = later(h, l->now);
   return h;
 }
-
-namespace detail {
-
-std::unique_ptr<ExecutionBackend> make_backend(
-    EngineBackend kind, Engine* engine,
-    [[maybe_unused]] const EngineOptions& options) {
-  switch (kind) {
-#if ATS_SIMT_HAS_FIBERS
-    case EngineBackend::kFiber:
-      return std::make_unique<FiberBackend>(engine,
-                                            options.fiber_stack_bytes);
-#endif
-    case EngineBackend::kThread:
-      return std::make_unique<ThreadBackend>(engine);
-    default:
-      break;
-  }
-  throw UsageError(std::string("engine backend unavailable: ") +
-                   to_string(kind));
-}
-
-}  // namespace detail
 
 }  // namespace ats::simt

@@ -1,11 +1,16 @@
 #include "simt/fiber.hpp"
 
-#if ATS_SIMT_HAS_FIBERS
-
 #include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <utility>
+
+#if defined(ATS_FIBER_ASAN)
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(ATS_FIBER_TSAN)
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace ats::simt {
 
@@ -157,31 +162,13 @@ void* make_initial_frame(char* stack, std::size_t bytes, Fiber* self) {
 
 #endif  // arch
 
-Fiber::Fiber(char* stack_base, std::size_t stack_bytes,
-             std::function<void()> entry)
-    : entry_(std::move(entry)), stack_(stack_base),
-      stack_bytes_(stack_bytes) {
-  assert(stack_bytes_ >= 16 * 1024 && "fiber stack too small");
+void Fiber::make_context() {
   fiber_sp_ = make_initial_frame(stack_, stack_bytes_, this);
 }
 
-Fiber::~Fiber() = default;
+void Fiber::jump_in() { ats_fiber_switch(&return_sp_, fiber_sp_); }
 
-void Fiber::resume() {
-  assert(!finished_ && "resume of a finished fiber");
-  started_ = true;
-  ats_fiber_switch(&return_sp_, fiber_sp_);
-}
-
-void Fiber::suspend() { ats_fiber_switch(&fiber_sp_, return_sp_); }
-
-void Fiber::run_entry() {
-  entry_();
-  finished_ = true;
-  // Final switch out; nothing ever resumes a finished fiber, so control
-  // never comes back (the thunk's trap instruction guards the impossible).
-  ats_fiber_switch(&fiber_sp_, return_sp_);
-}
+void Fiber::jump_out() { ats_fiber_switch(&fiber_sp_, return_sp_); }
 
 #else  // ATS_FIBER_UCONTEXT
 
@@ -199,17 +186,13 @@ void trampoline(unsigned hi, unsigned lo) {
 }
 }  // namespace
 
-Fiber::Fiber(char* stack_base, std::size_t stack_bytes,
-             std::function<void()> entry)
-    : entry_(std::move(entry)), stack_(stack_base),
-      stack_bytes_(stack_bytes) {
-  assert(stack_bytes_ >= 16 * 1024 && "fiber stack too small");
+void Fiber::make_context() {
   getcontext(&fiber_ctx_);
   fiber_ctx_.uc_stack.ss_sp = stack_;
   fiber_ctx_.uc_stack.ss_size = stack_bytes_;
-  // When the trampoline returns, control goes back to the latest resume
-  // point (return_ctx_ is refreshed by every swap in resume()).
-  fiber_ctx_.uc_link = &return_ctx_;
+  // The trampoline never returns: run_entry ends in an explicit final
+  // switch, so there is no successor context.
+  fiber_ctx_.uc_link = nullptr;
   const auto p = reinterpret_cast<std::uintptr_t>(this);
   makecontext(&fiber_ctx_,
               reinterpret_cast<void (*)()>(
@@ -218,24 +201,81 @@ Fiber::Fiber(char* stack_base, std::size_t stack_bytes,
               static_cast<unsigned>(p & 0xffffffffu));
 }
 
-Fiber::~Fiber() = default;
+void Fiber::jump_in() { swapcontext(&return_ctx_, &fiber_ctx_); }
 
-void Fiber::resume() {
-  assert(!finished_ && "resume of a finished fiber");
-  started_ = true;
-  swapcontext(&return_ctx_, &fiber_ctx_);
-}
-
-void Fiber::suspend() { swapcontext(&fiber_ctx_, &return_ctx_); }
-
-void Fiber::run_entry() {
-  entry_();
-  finished_ = true;
-  // Returning from the trampoline lands on uc_link == return_ctx_.
-}
+void Fiber::jump_out() { swapcontext(&fiber_ctx_, &return_ctx_); }
 
 #endif  // ATS_FIBER_RAW / ATS_FIBER_UCONTEXT
 
-}  // namespace ats::simt
+// ------------------------------------------------ the annotated switch
+//
+// Everything above is the bare platform switch; everything below is shared
+// by both implementations, so each sanitizer annotation appears once.
+// AddressSanitizer must be told the bounds of the stack being switched to
+// before each jump (start) and finish on the other side; TSan must be told
+// which fiber context runs next, immediately before the jump.
 
-#endif  // ATS_SIMT_HAS_FIBERS
+Fiber::Fiber(char* stack_base, std::size_t stack_bytes,
+             std::function<void()> entry)
+    : entry_(std::move(entry)), stack_(stack_base),
+      stack_bytes_(stack_bytes) {
+  assert(stack_bytes_ >= 16 * 1024 && "fiber stack too small");
+  make_context();
+#if defined(ATS_FIBER_TSAN)
+  tsan_fiber_ = __tsan_create_fiber(0);
+#endif
+}
+
+Fiber::~Fiber() {
+#if defined(ATS_FIBER_TSAN)
+  __tsan_destroy_fiber(tsan_fiber_);
+#endif
+}
+
+void Fiber::resume() {
+  assert(!finished_ && "resume of a finished fiber");
+#if defined(ATS_FIBER_ASAN)
+  void* fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(&fake_stack, stack_, stack_bytes_);
+#endif
+#if defined(ATS_FIBER_TSAN)
+  tsan_resumer_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(tsan_fiber_, 0);
+#endif
+  jump_in();
+#if defined(ATS_FIBER_ASAN)
+  __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
+}
+
+void Fiber::switch_out([[maybe_unused]] bool final) {
+#if defined(ATS_FIBER_ASAN)
+  // A null save slot on the final switch frees this fiber's fake stack.
+  void* fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(final ? nullptr : &fake_stack,
+                                 resumer_stack_, resumer_stack_bytes_);
+#endif
+#if defined(ATS_FIBER_TSAN)
+  __tsan_switch_to_fiber(tsan_resumer_, 0);
+#endif
+  jump_out();
+#if defined(ATS_FIBER_ASAN)
+  __sanitizer_finish_switch_fiber(fake_stack, &resumer_stack_,
+                                  &resumer_stack_bytes_);
+#endif
+}
+
+void Fiber::run_entry() {
+#if defined(ATS_FIBER_ASAN)
+  __sanitizer_finish_switch_fiber(nullptr, &resumer_stack_,
+                                  &resumer_stack_bytes_);
+#endif
+  entry_();
+  finished_ = true;
+  // Final switch out; nothing ever resumes a finished fiber, so control
+  // never comes back (the raw thunk's trap instruction guards the
+  // impossible).
+  switch_out(true);
+}
+
+}  // namespace ats::simt

@@ -1,5 +1,5 @@
-// Stackful fibers — the execution primitive behind the engine's fiber
-// backend (see engine.hpp, DESIGN.md §9).
+// Stackful fibers — the engine's execution mechanism (see engine.hpp,
+// DESIGN.md §9).
 //
 // A Fiber is a cooperatively scheduled execution context with its own
 // stack.  Switching between the owning thread and a fiber is a plain
@@ -22,28 +22,16 @@
 //  * The raw switch does not save floating-point control state (MXCSR /
 //    FPCR); entry code must not change rounding or exception modes.
 //
-// ThreadSanitizer cannot follow userspace context switches, so fibers are
-// compiled out under TSan (ATS_SIMT_HAS_FIBERS == 0) and the engine falls
-// back to the thread backend.
+// Sanitizers: every switch, raw or ucontext, goes through one annotated
+// path.  AddressSanitizer builds report each stack change with
+// __sanitizer_{start,finish}_switch_fiber (so stack bounds, fake stacks
+// and the unpoisoning done for an exception throw follow the fiber);
+// ThreadSanitizer builds give each fiber its own TSan context via
+// __tsan_{create,switch_to,destroy}_fiber.  Both are compile-time checks.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <memory>
-
-#if defined(__SANITIZE_THREAD__)
-#define ATS_SIMT_HAS_FIBERS 0
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define ATS_SIMT_HAS_FIBERS 0
-#else
-#define ATS_SIMT_HAS_FIBERS 1
-#endif
-#else
-#define ATS_SIMT_HAS_FIBERS 1
-#endif
-
-#if ATS_SIMT_HAS_FIBERS
 
 #if defined(ATS_FIBER_FORCE_UCONTEXT)
 #define ATS_FIBER_UCONTEXT 1
@@ -53,6 +41,22 @@
 #define ATS_FIBER_RAW 1
 #else
 #define ATS_FIBER_UCONTEXT 1
+#endif
+
+#if defined(__SANITIZE_ADDRESS__)
+#define ATS_FIBER_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define ATS_FIBER_ASAN 1
+#endif
+#endif
+
+#if defined(__SANITIZE_THREAD__)
+#define ATS_FIBER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define ATS_FIBER_TSAN 1
+#endif
 #endif
 
 #if defined(ATS_FIBER_UCONTEXT)
@@ -82,24 +86,27 @@ class Fiber {
 
   /// Called from inside the fiber: switches back to whoever called
   /// resume().  Returns when the fiber is resumed again.
-  void suspend();
+  void suspend() { switch_out(false); }
 
   /// True once the entry function has returned.  A finished fiber's stack
   /// holds no live frames and may be destroyed freely.
   bool finished() const { return finished_; }
 
-  /// True once resume() has been called at least once.  A started,
-  /// unfinished fiber must be unwound before destruction.
-  bool started() const { return started_; }
-
  private:
   friend void fiber_run_entry(Fiber* f);
   void run_entry();  // trampoline target: entry_(), then the final switch
+  /// Fiber side of every switch back to the resumer; `final` marks the
+  /// last one (the fiber's stack is dead afterwards and it never returns).
+  void switch_out(bool final);
+  // The platform layer (raw switch or ucontext), free of sanitizer
+  // bookkeeping: prepare the first frame, switch in, switch out.
+  void make_context();
+  void jump_in();
+  void jump_out();
 
   std::function<void()> entry_;
   char* stack_;  ///< borrowed, not owned
   std::size_t stack_bytes_;
-  bool started_ = false;
   bool finished_ = false;
 
 #if defined(ATS_FIBER_RAW)
@@ -109,8 +116,14 @@ class Fiber {
   ucontext_t fiber_ctx_;
   ucontext_t return_ctx_;
 #endif
+#if defined(ATS_FIBER_ASAN)
+  const void* resumer_stack_ = nullptr;  // bounds of the resumer's stack
+  std::size_t resumer_stack_bytes_ = 0;
+#endif
+#if defined(ATS_FIBER_TSAN)
+  void* tsan_fiber_ = nullptr;    // this fiber's TSan context
+  void* tsan_resumer_ = nullptr;  // the resumer's, while inside the fiber
+#endif
 };
 
 }  // namespace ats::simt
-
-#endif  // ATS_SIMT_HAS_FIBERS

@@ -1,6 +1,6 @@
 // Pooled, lazily-committed fiber stacks (DESIGN.md §12).
 //
-// The naive fiber backend allocated (and zero-filled) a full stack per
+// The naive fiber engine allocated (and zero-filled) a full stack per
 // location up front: at 100k locations × 256 KiB that is ~25 GB of touched
 // pages before the first event is simulated.  The pool replaces that with
 // slabs carved out of large anonymous MAP_NORESERVE mappings:

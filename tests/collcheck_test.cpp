@@ -2,12 +2,10 @@
 // (docs/DEFECTS.md): one test per DefectKind driven through the registry's
 // defect program family, a hand-built trace for the kind no program family
 // member can produce deterministically (unfinished collective), the
-// zero-false-positive guarantee on structurally sound programs, and
-// fiber/thread backend parity of the defect output.
+// and the zero-false-positive guarantee on structurally sound programs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,12 +30,10 @@ struct DefectRun {
   AnalysisResult analysis;
 };
 
-DefectRun run_defect(const std::string& name, int nprocs,
-                     simt::EngineBackend backend = simt::EngineBackend::kFiber) {
+DefectRun run_defect(const std::string& name, int nprocs) {
   const gen::PropertyDef& def = gen::Registry::instance().find(name);
   gen::RunConfig cfg;
   cfg.nprocs = nprocs;
-  cfg.engine.backend = backend;
   cfg.engine.virtual_time_limit = VDur::seconds(120.0);
   cfg.engine.yield_limit = 2'000'000;
   gen::SalvagedRun run = gen::run_single_property_salvaged(def, def.positive, cfg);
@@ -212,26 +208,6 @@ TEST(CollCheck, CleanRegistryProgramsProduceNoDefects) {
     const AnalysisResult r = analyze::analyze(tr);
     EXPECT_TRUE(r.defects.empty())
         << name << ": " << report::render_defects(r, tr);
-  }
-}
-
-// --------------------------------------------------------- backend parity
-
-TEST(CollCheck, BackendsAgreeOnDefectOutput) {
-  for (const std::string& name : gen::Registry::instance().defect_names()) {
-    const DefectRun fib = run_defect(name, 4, simt::EngineBackend::kFiber);
-    const DefectRun thr = run_defect(name, 4, simt::EngineBackend::kThread);
-    EXPECT_EQ(fib.run.outcome, thr.run.outcome) << name;
-    std::ostringstream ft, tt;
-    fib.run.trace.save(ft);
-    thr.run.trace.save(tt);
-    EXPECT_EQ(ft.str(), tt.str()) << name << ": salvaged traces differ";
-    EXPECT_EQ(report::render_defects(fib.analysis, fib.run.trace),
-              report::render_defects(thr.analysis, thr.run.trace))
-        << name;
-    EXPECT_EQ(report::defect_csv(fib.analysis, fib.run.trace),
-              report::defect_csv(thr.analysis, thr.run.trace))
-        << name;
   }
 }
 

@@ -1,10 +1,9 @@
 // Supervision tests for the simt engine: virtual-time / yield / wall-clock
 // budgets raising HangError, golden deadlock and hang dumps, engine
 // destruction safety around failed or never-started runs, and poisoned
-// shutdown unwinding parked stacks on both execution backends.
+// shutdown unwinding parked fiber stacks.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <string>
 
@@ -216,7 +215,7 @@ TEST(Supervision, SetResumeHookAfterRunThrows) {
 
 TEST(Supervision, EngineDestructsCleanlyWithoutRun) {
   // Locations added but run() never called: the destructor must not touch
-  // unstarted threads.
+  // unstarted locations.
   for (int i = 0; i < 4; ++i) {
     Engine eng;
     eng.add_location("never runs", spin_forever(VDur::millis(1)));
@@ -225,7 +224,7 @@ TEST(Supervision, EngineDestructsCleanlyWithoutRun) {
 }
 
 TEST(Supervision, EngineDestructsCleanlyAfterDeadlock) {
-  // All location threads must already be joined when DeadlockError leaves
+  // All location stacks must already be unwound when DeadlockError leaves
   // run(), so dropping the engine mid-failure is safe.
   for (int i = 0; i < 4; ++i) {
     Engine eng;
@@ -260,34 +259,18 @@ TEST(Supervision, EngineDestructsCleanlyAfterBodyError) {
   }
 }
 
-// --- poisoned shutdown: parked stacks unwind on both backends --------------
+// --- poisoned shutdown: parked stacks unwind --------------------------------
 
-class BackendShutdownTest : public ::testing::TestWithParam<EngineBackend> {
- protected:
-  void SetUp() override {
-    if (GetParam() == EngineBackend::kFiber &&
-        resolve_backend(EngineBackend::kFiber) != EngineBackend::kFiber) {
-      GTEST_SKIP() << "fibers compiled out (TSan build)";
-    }
-  }
-  EngineOptions opts() const {
-    EngineOptions o;
-    o.backend = GetParam();
-    return o;
-  }
-};
-
-// Counts live objects on parked location stacks; atomic because on the
-// thread backend the unwinds run concurrently during shutdown.
+// Counts live objects on parked location stacks.
 struct Sentinel {
-  explicit Sentinel(std::atomic<int>* counter) : n(counter) { ++*n; }
+  explicit Sentinel(int* counter) : n(counter) { ++*n; }
   ~Sentinel() { --*n; }
-  std::atomic<int>* n;
+  int* n;
 };
 
-TEST_P(BackendShutdownTest, ParkedStacksUnwindBeforeDeadlockErrorLeavesRun) {
-  std::atomic<int> alive{0};
-  Engine eng(opts());
+TEST(Shutdown, ParkedStacksUnwindBeforeDeadlockErrorLeavesRun) {
+  int alive = 0;
+  Engine eng;
   for (int i = 0; i < 3; ++i) {
     eng.add_location("parked " + std::to_string(i), [&](Context& c) {
       Sentinel s(&alive);
@@ -297,12 +280,12 @@ TEST_P(BackendShutdownTest, ParkedStacksUnwindBeforeDeadlockErrorLeavesRun) {
   EXPECT_THROW(eng.run(), DeadlockError);
   // run() guarantees all location stacks are unwound on every exit path,
   // so the destructors of parked frames have already run here.
-  EXPECT_EQ(alive.load(), 0);
+  EXPECT_EQ(alive, 0);
 }
 
-TEST_P(BackendShutdownTest, ParkedStacksUnwindAfterHang) {
-  std::atomic<int> alive{0};
-  EngineOptions o = opts();
+TEST(Shutdown, ParkedStacksUnwindAfterHang) {
+  int alive = 0;
+  EngineOptions o;
   o.yield_limit = 100;
   Engine eng(o);
   eng.add_location("poller", [](Context& c) {
@@ -313,28 +296,28 @@ TEST_P(BackendShutdownTest, ParkedStacksUnwindAfterHang) {
     c.block("recv");
   });
   EXPECT_THROW(eng.run(), HangError);
-  EXPECT_EQ(alive.load(), 0);
+  EXPECT_EQ(alive, 0);
 }
 
-TEST_P(BackendShutdownTest, NeverRunEngineDestructsWithUnstartedLocations) {
-  // Without run() no body ever starts, so there is nothing to unwind —
-  // but the backend still has to release unstarted fibers / parked threads.
-  std::atomic<int> alive{0};
+TEST(Shutdown, NeverRunEngineDestructsWithUnstartedLocations) {
+  // Without run() no body ever starts, so there is nothing to unwind and
+  // no fiber or stack was ever created.
+  int alive = 0;
   for (int i = 0; i < 4; ++i) {
-    Engine eng(opts());
+    Engine eng;
     eng.add_location("never runs", [&](Context& c) {
       Sentinel s(&alive);
       c.block("x");
     });
   }
-  EXPECT_EQ(alive.load(), 0);
+  EXPECT_EQ(alive, 0);
 }
 
-TEST_P(BackendShutdownTest, BodySwallowingUnwindSignalStillShutsDown) {
+TEST(Shutdown, BodySwallowingUnwindSignalStillShutsDown) {
   // A body that absorbs the shutdown unwind (catch (...)) and returns
   // normally must not wedge the teardown.
-  std::atomic<int> swallowed{0};
-  Engine eng(opts());
+  int swallowed = 0;
+  Engine eng;
   eng.add_location("swallower", [&](Context& c) {
     try {
       c.block("recv");
@@ -344,14 +327,14 @@ TEST_P(BackendShutdownTest, BodySwallowingUnwindSignalStillShutsDown) {
   });
   eng.add_location("other", [](Context& c) { c.block("recv"); });
   EXPECT_THROW(eng.run(), DeadlockError);
-  EXPECT_EQ(swallowed.load(), 1);
+  EXPECT_EQ(swallowed, 1);
 }
 
-TEST_P(BackendShutdownTest, ContextCallsKeepThrowingOncePoisoned) {
+TEST(Shutdown, ContextCallsKeepThrowingOncePoisoned) {
   // After the first unwind signal is swallowed, every further Context call
   // throws again, so a retry loop cannot keep a poisoned location alive.
-  std::atomic<int> attempts{0};
-  Engine eng(opts());
+  int attempts = 0;
+  Engine eng;
   eng.add_location("stubborn", [&](Context& c) {
     for (;;) {
       try {
@@ -363,15 +346,62 @@ TEST_P(BackendShutdownTest, ContextCallsKeepThrowingOncePoisoned) {
   });
   eng.add_location("other", [](Context& c) { c.block("recv"); });
   EXPECT_THROW(eng.run(), DeadlockError);
-  EXPECT_EQ(attempts.load(), 3);
+  EXPECT_EQ(attempts, 3);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, BackendShutdownTest,
-    ::testing::Values(EngineBackend::kFiber, EngineBackend::kThread),
-    [](const ::testing::TestParamInfo<EngineBackend>& pinfo) {
-      return std::string(to_string(pinfo.param));
-    });
+// --- stack reuse after a shutdown unwind ------------------------------------
+
+// Recurses `depth` frames, each holding a scoped, address-taken buffer, and
+// at the bottom either parks for good or writes one more buffer and
+// returns.  The sum keeps the buffers observable so none is optimised out.
+int descend(Context& c, int depth, bool park) {
+  int sum = 0;
+  {
+    volatile char buf[96];
+    for (std::size_t i = 0; i < sizeof buf; ++i) {
+      buf[i] = static_cast<char>(depth + static_cast<int>(i));
+    }
+    if (depth > 0) {
+      sum = descend(c, depth - 1, park);
+    } else if (park) {
+      c.block("recv");  // never woken: unwound by the shutdown
+    } else {
+      c.advance(VDur::micros(1));
+    }
+    for (std::size_t i = 0; i < sizeof buf; ++i) sum += buf[i];
+  }
+  return sum;
+}
+
+TEST(Engine, RecycledSlabAfterShutdownUnwindIsClean) {
+  // Every engine maps its stacks afresh, and the new mapping usually lands
+  // where the previous engine's was.  A shutdown unwind must leave those
+  // stacks as clean as a normal return does: under AddressSanitizer,
+  // frames thrown through on an unannotated fiber switch keep their
+  // poisoned shadow, and the next engine's locations trip over it.
+  for (int round = 0; round < 3; ++round) {
+    {
+      Engine poisoned;
+      for (int i = 0; i < 4; ++i) {
+        poisoned.add_location("parked", [i](Context& c) {
+          descend(c, 8 + 3 * i, true);
+        });
+      }
+      EXPECT_THROW(poisoned.run(), DeadlockError);
+    }
+    Engine reuser;
+    int total = 0;
+    for (int i = 0; i < 4; ++i) {
+      reuser.add_location("reuser", [i, &total](Context& c) {
+        for (int depth = 0; depth < 24; ++depth) {
+          total += descend(c, depth + i, false) != 0;
+        }
+      });
+    }
+    reuser.run();
+    EXPECT_EQ(total, 4 * 24);
+  }
+}
 
 }  // namespace
 }  // namespace ats::simt

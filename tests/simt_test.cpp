@@ -3,7 +3,6 @@
 // error propagation.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "common/error.hpp"
@@ -329,7 +328,8 @@ TEST(Engine, RngStreamsAreDeterministicPerLocation) {
 TEST(Engine, DestructorWithoutRunDoesNotHang) {
   Engine eng;
   eng.add_location("never run", [](Context& c) { c.advance(VDur::millis(1)); });
-  // Engine destroyed without run(): parked threads must be unwound.
+  // Engine destroyed without run(): the never-started location must not
+  // be run or leak a stack.
 }
 
 TEST(Engine, ManyLocations) {
@@ -342,49 +342,6 @@ TEST(Engine, ManyLocations) {
   }
   eng.run();
   EXPECT_EQ(eng.location_count(), static_cast<std::size_t>(n));
-}
-
-// --- execution-backend selection ------------------------------------------
-
-TEST(EngineBackendSelection, ExplicitOptionWinsOverEnvironment) {
-  ::setenv("ATS_ENGINE_BACKEND", "thread", 1);
-  EXPECT_EQ(resolve_backend(EngineBackend::kThread), EngineBackend::kThread);
-  ::setenv("ATS_ENGINE_BACKEND", "fiber", 1);
-  EXPECT_EQ(resolve_backend(EngineBackend::kThread), EngineBackend::kThread);
-  ::unsetenv("ATS_ENGINE_BACKEND");
-}
-
-TEST(EngineBackendSelection, EnvVarResolvesAuto) {
-  ::setenv("ATS_ENGINE_BACKEND", "thread", 1);
-  EXPECT_EQ(resolve_backend(EngineBackend::kAuto), EngineBackend::kThread);
-  ::unsetenv("ATS_ENGINE_BACKEND");
-}
-
-TEST(EngineBackendSelection, UnknownEnvValueThrows) {
-  ::setenv("ATS_ENGINE_BACKEND", "bogus", 1);
-  EXPECT_THROW(resolve_backend(EngineBackend::kAuto), UsageError);
-  ::unsetenv("ATS_ENGINE_BACKEND");
-  // An explicit backend never consults the environment, so the same value
-  // is harmless then.
-  ::setenv("ATS_ENGINE_BACKEND", "bogus", 1);
-  EXPECT_NO_THROW(resolve_backend(EngineBackend::kThread));
-  ::unsetenv("ATS_ENGINE_BACKEND");
-}
-
-TEST(EngineBackendSelection, DefaultIsFiberWhenAvailable) {
-  ::unsetenv("ATS_ENGINE_BACKEND");
-  const EngineBackend def = resolve_backend(EngineBackend::kAuto);
-  if (resolve_backend(EngineBackend::kFiber) == EngineBackend::kFiber) {
-    EXPECT_EQ(def, EngineBackend::kFiber);
-  } else {
-    EXPECT_EQ(def, EngineBackend::kThread);  // TSan build: fibers gone
-  }
-}
-
-TEST(EngineBackendSelection, ToStringNamesAllBackends) {
-  EXPECT_STREQ(to_string(EngineBackend::kAuto), "auto");
-  EXPECT_STREQ(to_string(EngineBackend::kFiber), "fiber");
-  EXPECT_STREQ(to_string(EngineBackend::kThread), "thread");
 }
 
 }  // namespace
