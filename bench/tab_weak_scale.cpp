@@ -7,8 +7,8 @@
 //   * a peak-RSS proxy (VmHWM delta of a forked child, so points do not
 //     pollute each other) and the derived bytes/location,
 //   * trace residency: spilled bytes and the binary trace file size,
-//   * zero-copy replay throughput (mmap the binary file, walk the k-way
-//     merge cursor).
+//   * zero-copy replay throughput (mmap the binary file, walk the events
+//     in the radix merge order).
 //
 // Every N runs in its own forked child with the trace spilling to disk past
 // a 64 MiB watermark, exactly how a weak-scale user would run it; the

@@ -92,4 +92,19 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 
 std::string repeat(char c, std::size_t n) { return std::string(n, c); }
 
+std::string xml_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '&': out += "&amp;"; break;
+      case '<': out += "&lt;"; break;
+      case '>': out += "&gt;"; break;
+      case '"': out += "&quot;"; break;
+      default: out += c; break;
+    }
+  }
+  return out;
+}
+
 }  // namespace ats

@@ -1,4 +1,4 @@
-// Small string helpers used by the report/gen layers.
+// Small string helpers used by the report/gen/diff layers.
 #pragma once
 
 #include <string>
@@ -43,5 +43,8 @@ bool starts_with(std::string_view s, std::string_view prefix);
 
 /// Repeats character `c` `n` times.
 std::string repeat(char c, std::size_t n);
+
+/// Escapes &, <, > and " for an XML attribute or text node.
+std::string xml_escape(std::string_view s);
 
 }  // namespace ats

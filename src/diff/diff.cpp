@@ -92,21 +92,6 @@ bool attributable(const std::string& property) {
   return info.is_waitstate && !info.is_overhead;
 }
 
-std::string xml_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- Snapshot
@@ -596,20 +581,30 @@ std::string render_text(const DiffResult& d, const std::string& label_a,
   return os.str();
 }
 
-std::string diff_csv(const DiffResult& d) {
-  std::string out = "property,call_path,location,a_sec,b_sec,delta_sec,rel,kind\n";
+namespace {
+
+/// Appends the diff_csv rows of `d`, each led by `prefix`.
+void append_diff_rows(std::string& out, const DiffResult& d,
+                      const std::string& prefix) {
   for (const auto& c : d.cells) {
-    out += c.property + "," + c.call_path + "," + c.location + "," +
+    out += prefix + c.property + "," + c.call_path + "," + c.location + "," +
            fmt_double(c.a_sec, 9) + "," + fmt_double(c.b_sec, 9) + "," +
            fmt_double(c.delta(), 9) + "," + fmt_double(c.rel(), 4) + "," +
            to_string(c.kind) + "\n";
   }
   for (const auto& def : d.defects_added) {
-    out += "defect,," + def + ",0,1,1,1,added\n";
+    out += prefix + "defect,," + def + ",0,1,1,1,added\n";
   }
   for (const auto& def : d.defects_removed) {
-    out += "defect,," + def + ",1,0,-1,1,removed\n";
+    out += prefix + "defect,," + def + ",1,0,-1,1,removed\n";
   }
+}
+
+}  // namespace
+
+std::string diff_csv(const DiffResult& d) {
+  std::string out = "property,call_path,location,a_sec,b_sec,delta_sec,rel,kind\n";
+  append_diff_rows(out, d, "");
   return out;
 }
 
@@ -696,13 +691,7 @@ std::string corpus_csv(const CorpusDiff& c) {
       out += e.name + ",,,,0,0,0,0,missing_in_b\n";
       continue;
     }
-    const std::string body = diff_csv(e.diff);
-    std::istringstream in(body);
-    std::string line;
-    std::getline(in, line);  // drop the inner header
-    while (std::getline(in, line)) {
-      if (!line.empty()) out += e.name + "," + line + "\n";
-    }
+    append_diff_rows(out, e.diff, e.name + ",");
   }
   return out;
 }

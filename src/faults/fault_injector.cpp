@@ -2,8 +2,11 @@
 
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
+
+#include "trace/trace_io.hpp"
 
 namespace ats::faults {
 
@@ -48,48 +51,11 @@ FaultInjector::FaultInjector(const FaultConfig& config)
 
 namespace {
 
-/// Replays one event into `out` through the typed recording API.
-void emit(trace::Trace& out, const trace::Event& e) {
-  using trace::EventType;
-  switch (e.type) {
-    case EventType::kEnter:
-      out.enter(e.loc, e.t, e.region);
-      break;
-    case EventType::kExit:
-      out.exit(e.loc, e.t, e.region);
-      break;
-    case EventType::kSend:
-      out.send(e.loc, e.t, e.peer, e.tag, e.comm, e.bytes);
-      break;
-    case EventType::kRecv:
-      out.recv(e.loc, e.t, e.peer, e.tag, e.comm, e.bytes);
-      break;
-    case EventType::kCollEnd:
-      out.coll_end(e.loc, e.t, e.enter_t, e.comm, e.seq, e.op, e.root,
-                   e.bytes, e.bytes_out);
-      break;
-    case EventType::kCollBegin:
-      out.coll_begin(e.loc, e.t, e.comm, e.seq, e.op, e.root, e.tag,
-                     e.region);
-      break;
-    case EventType::kLockAcquire:
-      out.lock_acquire(e.loc, e.t, e.peer);
-      break;
-    case EventType::kLockRelease:
-      out.lock_release(e.loc, e.t, e.peer);
-      break;
-  }
-}
-
-/// True for the serialised event-record keywords (docs/TRACE_FORMAT.md §4).
+/// True for the serialised event records (docs/TRACE_FORMAT.md §4).
 bool is_event_line(const std::string& line) {
-  if (line.size() < 2) return false;
-  if (line[1] == ' ') {
-    return line[0] == 'E' || line[0] == 'X' || line[0] == 'S' ||
-           line[0] == 'R' || line[0] == 'C' || line[0] == 'B';
-  }
-  return line.size() > 2 && line[0] == 'L' &&
-         (line[1] == 'A' || line[1] == 'R') && line[2] == ' ';
+  const std::size_t sp = line.find(' ');
+  return sp != std::string::npos &&
+         trace::find_event_record(std::string_view(line).substr(0, sp));
 }
 
 }  // namespace
@@ -163,9 +129,7 @@ trace::Trace FaultInjector::apply(const trace::Trace& t) {
         note(FaultKind::kReorderEvents);
       }
     }
-    for (const trace::Event& e : kept) {
-      emit(out, e);
-    }
+    for (const trace::Event& e : kept) out.append(e);
   }
   return out;
 }

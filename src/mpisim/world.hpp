@@ -248,8 +248,8 @@ struct MpiRunOptions {
   /// When non-empty, the trace streams event blocks to this file once its
   /// resident payload exceeds trace_spill_watermark (see
   /// Trace::enable_spill).  The returned trace is then save-only: save()/
-  /// save_binary() stream the segments back, but events_of()/merged()
-  /// throw until the saved file is reloaded.
+  /// save_binary() stream the segments back, but events_of()/
+  /// for_each_merged() throw until the saved file is reloaded.
   std::string trace_spill_path;
   std::size_t trace_spill_watermark = 64u << 20;  // 64 MiB
   /// When non-null, events are recorded into *external_trace instead of

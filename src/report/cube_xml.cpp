@@ -13,21 +13,6 @@ using analyze::AnalysisResult;
 using analyze::NodeId;
 using analyze::PropertyId;
 
-std::string xml_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
-}
-
 void write_metric(std::ostream& os, PropertyId p, int indent) {
   const auto& info = analyze::property_info(p);
   const std::string pad(static_cast<std::size_t>(indent), ' ');

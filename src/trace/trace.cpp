@@ -190,7 +190,6 @@ void Trace::add_location(LocationInfo info) {
     spill_->segments.emplace_back();
     spill_->spilled_counts.push_back(0);
   }
-  merged_valid_ = false;
 }
 
 CommId Trace::add_comm(CommKind kind, std::vector<LocId> members,
@@ -218,19 +217,19 @@ const CommInfo& Trace::comm(CommId id) const {
   return comms_[static_cast<std::size_t>(id)];
 }
 
-void Trace::push(LocId loc, Event e) {
+void Trace::append(const Event& e) {
   if (!enabled_) return;
-  if (loc < 0 || static_cast<std::size_t>(loc) >= per_loc_.size()) {
-    throw TraceError("event for unknown location " + std::to_string(loc));
+  if (e.loc < 0 || static_cast<std::size_t>(e.loc) >= per_loc_.size()) {
+    throw TraceError("event for unknown location " + std::to_string(e.loc));
   }
-  const auto l = static_cast<std::size_t>(loc);
+  const auto l = static_cast<std::size_t>(e.loc);
   if (ext_set_[l]) {
-    throw TraceError("location " + std::to_string(loc) +
+    throw TraceError("location " + std::to_string(e.loc) +
                      " has external (mapped) events; recording is frozen");
   }
   // The monotonicity check must survive spilling, where the predecessor may
   // no longer be resident — compare against the tracked last timestamp.
-  if (loc_event_count(loc) == 0) {
+  if (loc_event_count(e.loc) == 0) {
     first_t_[l] = e.t;
   } else if (e.t < last_t_[l]) {
     loc_sorted_[l] = false;
@@ -238,7 +237,6 @@ void Trace::push(LocId loc, Event e) {
   last_t_[l] = e.t;
   per_loc_[l].push_back(e);
   ++resident_events_;
-  merged_valid_ = false;
   if (spill_ && resident_events_ * sizeof(Event) > spill_->watermark_bytes) {
     maybe_spill();
   }
@@ -295,57 +293,53 @@ std::size_t Trace::memory_bytes() const {
   return resident_events_ * sizeof(Event);
 }
 
-void Trace::enter(LocId loc, VTime t, RegionId region) {
+namespace {
+/// An event of `type` on `loc` at `t`; the recorder fills in the rest.
+Event stamped(EventType type, LocId loc, VTime t) {
   Event e;
   e.t = t;
   e.loc = loc;
-  e.type = EventType::kEnter;
+  e.type = type;
+  return e;
+}
+}  // namespace
+
+void Trace::enter(LocId loc, VTime t, RegionId region) {
+  Event e = stamped(EventType::kEnter, loc, t);
   e.region = region;
-  push(loc, e);
+  append(e);
 }
 
 void Trace::exit(LocId loc, VTime t, RegionId region) {
-  Event e;
-  e.t = t;
-  e.loc = loc;
-  e.type = EventType::kExit;
+  Event e = stamped(EventType::kExit, loc, t);
   e.region = region;
-  push(loc, e);
+  append(e);
 }
 
 void Trace::send(LocId loc, VTime t, LocId dst, std::int32_t tag, CommId comm,
                  std::int64_t bytes) {
-  Event e;
-  e.t = t;
-  e.loc = loc;
-  e.type = EventType::kSend;
+  Event e = stamped(EventType::kSend, loc, t);
   e.peer = dst;
   e.tag = tag;
   e.comm = comm;
   e.bytes = bytes;
-  push(loc, e);
+  append(e);
 }
 
 void Trace::recv(LocId loc, VTime t, LocId src, std::int32_t tag, CommId comm,
                  std::int64_t bytes) {
-  Event e;
-  e.t = t;
-  e.loc = loc;
-  e.type = EventType::kRecv;
+  Event e = stamped(EventType::kRecv, loc, t);
   e.peer = src;
   e.tag = tag;
   e.comm = comm;
   e.bytes = bytes;
-  push(loc, e);
+  append(e);
 }
 
 void Trace::coll_end(LocId loc, VTime t, VTime enter_t, CommId comm,
                      std::int64_t seq, CollOp op, std::int32_t root,
                      std::int64_t bytes_in, std::int64_t bytes_out) {
-  Event e;
-  e.t = t;
-  e.loc = loc;
-  e.type = EventType::kCollEnd;
+  Event e = stamped(EventType::kCollEnd, loc, t);
   e.comm = comm;
   e.seq = seq;
   e.op = op;
@@ -353,41 +347,32 @@ void Trace::coll_end(LocId loc, VTime t, VTime enter_t, CommId comm,
   e.bytes = bytes_in;
   e.bytes_out = bytes_out;
   e.enter_t = enter_t;
-  push(loc, e);
+  append(e);
 }
 
 void Trace::coll_begin(LocId loc, VTime t, CommId comm, std::int64_t seq,
                        CollOp op, std::int32_t root, std::int32_t rop,
                        RegionId region) {
-  Event e;
-  e.t = t;
-  e.loc = loc;
-  e.type = EventType::kCollBegin;
+  Event e = stamped(EventType::kCollBegin, loc, t);
   e.comm = comm;
   e.seq = seq;
   e.op = op;
   e.root = root;
   e.tag = rop;
   e.region = region;
-  push(loc, e);
+  append(e);
 }
 
 void Trace::lock_acquire(LocId loc, VTime t, std::int32_t lock_id) {
-  Event e;
-  e.t = t;
-  e.loc = loc;
-  e.type = EventType::kLockAcquire;
+  Event e = stamped(EventType::kLockAcquire, loc, t);
   e.peer = lock_id;
-  push(loc, e);
+  append(e);
 }
 
 void Trace::lock_release(LocId loc, VTime t, std::int32_t lock_id) {
-  Event e;
-  e.t = t;
-  e.loc = loc;
-  e.type = EventType::kLockRelease;
+  Event e = stamped(EventType::kLockRelease, loc, t);
   e.peer = lock_id;
-  push(loc, e);
+  append(e);
 }
 
 Trace::Trace() = default;
@@ -443,7 +428,6 @@ void Trace::set_external_events(LocId loc, std::span<const Event> events,
   ext_[l] = events;
   ext_set_[l] = 1;
   ext_owners_.push_back(std::move(owner));
-  merged_valid_ = false;
 }
 
 std::size_t Trace::event_count() const {
@@ -486,18 +470,6 @@ void Trace::for_each_chunk_of(
   }
   const auto& v = per_loc_[l];
   if (!v.empty()) fn(v.data(), v.size());
-}
-
-const std::vector<const Event*>& Trace::merged() const {
-  if (!merged_valid_) {
-    const std::vector<MergeKey> order = merge_order();
-    merged_cache_.resize(order.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      merged_cache_[i] = order[i].e;
-    }
-    merged_valid_ = true;
-  }
-  return merged_cache_;
 }
 
 std::vector<Trace::MergeKey> Trace::merge_order() const {

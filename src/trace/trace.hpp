@@ -224,6 +224,14 @@ class Trace {
   void lock_acquire(LocId loc, VTime t, std::int32_t lock_id);
   void lock_release(LocId loc, VTime t, std::int32_t lock_id);
 
+  /// Records `e` as is on location `e.loc` (the typed recorders above build
+  /// their Event and land here).  This is how the binary loader's copy
+  /// fallback and the fault injector replay whole records; it does not
+  /// check the record's references — callers that take untrusted records
+  /// run check_event (trace_io.hpp) first.  Throws for an unknown location
+  /// or one whose events are external.
+  void append(const Event& e);
+
   // ---- spill-to-disk (docs/TRACE_FORMAT.md §7, DESIGN.md §12) ----------
   /// Streams event blocks to `path` whenever the resident event payload
   /// exceeds `watermark_bytes`, so a long-running generation never holds
@@ -231,7 +239,8 @@ class Trace {
   /// ordered (offset, count) segments in the spill file.  A spilled trace
   /// can still be saved (text or binary — both stream the segments back in
   /// order) but its events are no longer addressable in memory:
-  /// events_of()/merged() throw until the saved trace is reloaded.  Enable
+  /// events_of()/for_each_merged() throw until the saved trace is reloaded.
+  /// Enable
   /// before recording; the spill file is deleted on destruction.
   void enable_spill(std::string path, std::size_t watermark_bytes);
   bool spill_enabled() const { return spill_ != nullptr; }
@@ -258,20 +267,9 @@ class Trace {
   /// True when any location's events live in an external mapped buffer.
   bool external_events() const { return !ext_owners_.empty(); }
 
-  /// All events merged into global (time, loc) order.  Events of one
-  /// location keep their recording order even at equal timestamps.
-  ///
-  /// The view is materialised lazily from the radix merge order (see
-  /// for_each_merged) and cached; appending events invalidates the cache.
-  /// Not safe to call concurrently on the same Trace from several threads —
-  /// parallel pipelines analyze one trace per thread.
-  const std::vector<const Event*>& merged() const;
-
-  /// Streaming variant of merged(): visits every event in the same global
-  /// (time, loc) order without materialising (or caching) the pointer
-  /// vector.  `fn` is invoked as fn(const Event&).  This is what the
-  /// analyzer's replay loop uses — a trace is merged exactly once per
-  /// analysis, so the cache would only add allocation traffic.
+  /// Visits every event in global (time, loc) order; events of one
+  /// location keep their recording order even at equal timestamps.  `fn`
+  /// is invoked as fn(const Event&).  This is the analyzer's replay order.
   ///
   /// The order comes from a stable LSD radix sort by time over
   /// (time offset, event) keys gathered location by location in recording
@@ -325,7 +323,6 @@ class Trace {
   /// spilled locations.
   std::vector<MergeKey> merge_order() const;
 
-  void push(LocId loc, Event e);
   void maybe_spill();
 
  public:
@@ -365,10 +362,6 @@ class Trace {
   /// Events currently held in per_loc_ buffers (excludes spilled blocks and
   /// external mapped spans); drives the spill watermark in O(1).
   std::size_t resident_events_ = 0;
-
-  // merged() cache; see the declaration comment for the threading contract.
-  mutable std::vector<const Event*> merged_cache_;
-  mutable bool merged_valid_ = false;
 };
 
 template <typename Fn>

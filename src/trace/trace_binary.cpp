@@ -5,8 +5,9 @@
 // validate is adopted zero-copy via Trace::set_external_events (the span
 // points into the mmap/byte buffer, which the Trace keeps alive), while a
 // block with defects — or a misaligned buffer — degrades to copying the
-// surviving records through the normal recording API, with the same
-// per-record diagnostics contract as the text loader.
+// surviving records in through Trace::append.  Each record is checked by
+// check_event, the same record check the text loader runs, so both
+// containers report the same defects.
 #include "trace/trace_binary.hpp"
 
 #include <bit>
@@ -329,168 +330,54 @@ class BinaryLoader {
   }
 
   /// Validates one location's record block.  All-valid and 8-aligned →
-  /// zero-copy adoption; otherwise the surviving records are re-recorded
-  /// through the typed API.
+  /// zero-copy adoption; otherwise the surviving records are copied in
+  /// through Trace::append, starting at the first defect.
   void block(LocId loc, std::uint64_t count) {
     Trace& t = res_.trace;
     const char* base = data_ + pos_;
-    const bool aligned =
-        reinterpret_cast<std::uintptr_t>(base) % alignof(Event) == 0;
-    bool all_valid = true;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      ++record_;
+    const auto record = [&](std::uint64_t i) {
       Event e;
       std::memcpy(&e, base + i * sizeof(Event), sizeof(Event));
-      if (validate(loc, e, pos_ + i * sizeof(Event))) {
-        ++res_.records_ok;
-      } else {
-        all_valid = false;
+      return e;
+    };
+    bool copy = reinterpret_cast<std::uintptr_t>(base) % alignof(Event) != 0;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      ++record_;
+      if (!validate(loc, record(i), pos_ + i * sizeof(Event))) {
         ++res_.records_dropped;
+        // Every record before the first defect validated.
+        for (std::uint64_t j = 0; !copy && j < i; ++j) t.append(record(j));
+        copy = true;
+        continue;
       }
+      ++res_.records_ok;
+      if (copy) t.append(record(i));
     }
-    if (count > 0 && all_valid && aligned) {
+    if (!copy && count > 0) {
       t.set_external_events(
           loc,
           std::span<const Event>(reinterpret_cast<const Event*>(base),
                                  static_cast<std::size_t>(count)),
           owner_);
-    } else if (count > 0) {
-      for (std::uint64_t i = 0; i < count; ++i) {
-        Event e;
-        std::memcpy(&e, base + i * sizeof(Event), sizeof(Event));
-        if (validate_quiet(loc, e)) apply(e);
-      }
     }
     pos_ += count * sizeof(Event);
   }
 
-  /// Checks one record, emitting a diagnostic for each defect.  Returns
-  /// whether the record is usable.
+  /// Checks one record, emitting a diagnostic for its first defect: a bad
+  /// type byte, then a record filed under another location's block, then
+  /// check_event's findings.  Returns whether the record is usable.
   bool validate(LocId loc, const Event& e, std::uint64_t at) {
-    if (static_cast<std::uint8_t>(e.type) >
-        static_cast<std::uint8_t>(EventType::kCollBegin)) {
-      fail(BinFail{DiagnosticKind::kBadEnum, at,
-                   "bad event type byte " +
-                       std::to_string(static_cast<int>(e.type))});
-      return false;
-    }
-    if (e.loc != loc) {
+    const EventDefect d = check_event(res_.trace, e);
+    if (!(d && d.field == nullptr) && e.loc != loc) {
       fail(BinFail{DiagnosticKind::kMalformedRecord, at,
                    "record loc " + std::to_string(e.loc) +
                        " inside the block of location " +
                        std::to_string(loc)});
       return false;
     }
-    const Trace& t = res_.trace;
-    switch (e.type) {
-      case EventType::kEnter:
-      case EventType::kExit:
-        if (e.region < 0 ||
-            static_cast<std::size_t>(e.region) >= t.regions().size()) {
-          fail(BinFail{DiagnosticKind::kUnknownRegion, at,
-                       "region " + std::to_string(e.region) +
-                           " was never declared"});
-          return false;
-        }
-        break;
-      case EventType::kCollEnd:
-      case EventType::kCollBegin:
-        if (static_cast<std::uint8_t>(e.op) >
-            static_cast<std::uint8_t>(CollOp::kOmpIBarrier)) {
-          fail(BinFail{DiagnosticKind::kBadEnum, at,
-                       "bad collective op byte " +
-                           std::to_string(static_cast<int>(e.op))});
-          return false;
-        }
-        if (e.type == EventType::kCollBegin &&
-            (e.region < 0 ||
-             static_cast<std::size_t>(e.region) >= t.regions().size())) {
-          fail(BinFail{DiagnosticKind::kUnknownRegion, at,
-                       "region " + std::to_string(e.region) +
-                           " was never declared"});
-          return false;
-        }
-        [[fallthrough]];
-      case EventType::kSend:
-      case EventType::kRecv:
-        if (e.comm < 0 ||
-            static_cast<std::size_t>(e.comm) >= t.comm_count()) {
-          fail(BinFail{DiagnosticKind::kUnknownComm, at,
-                       "comm " + std::to_string(e.comm) +
-                           " was never declared"});
-          return false;
-        }
-        break;
-      default:
-        break;
-    }
-    return true;
-  }
-
-  /// Re-check without emitting diagnostics (the validate pass already did).
-  bool validate_quiet(LocId loc, const Event& e) {
-    if (static_cast<std::uint8_t>(e.type) >
-        static_cast<std::uint8_t>(EventType::kCollBegin)) {
-      return false;
-    }
-    if (e.loc != loc) return false;
-    const Trace& t = res_.trace;
-    switch (e.type) {
-      case EventType::kEnter:
-      case EventType::kExit:
-        return e.region >= 0 &&
-               static_cast<std::size_t>(e.region) < t.regions().size();
-      case EventType::kCollEnd:
-      case EventType::kCollBegin:
-        if (static_cast<std::uint8_t>(e.op) >
-            static_cast<std::uint8_t>(CollOp::kOmpIBarrier)) {
-          return false;
-        }
-        if (e.type == EventType::kCollBegin &&
-            (e.region < 0 ||
-             static_cast<std::size_t>(e.region) >= t.regions().size())) {
-          return false;
-        }
-        [[fallthrough]];
-      case EventType::kSend:
-      case EventType::kRecv:
-        return e.comm >= 0 &&
-               static_cast<std::size_t>(e.comm) < t.comm_count();
-      default:
-        return true;
-    }
-  }
-
-  void apply(const Event& e) {
-    Trace& t = res_.trace;
-    switch (e.type) {
-      case EventType::kEnter:
-        t.enter(e.loc, e.t, e.region);
-        break;
-      case EventType::kExit:
-        t.exit(e.loc, e.t, e.region);
-        break;
-      case EventType::kSend:
-        t.send(e.loc, e.t, e.peer, e.tag, e.comm, e.bytes);
-        break;
-      case EventType::kRecv:
-        t.recv(e.loc, e.t, e.peer, e.tag, e.comm, e.bytes);
-        break;
-      case EventType::kCollEnd:
-        t.coll_end(e.loc, e.t, e.enter_t, e.comm, e.seq, e.op, e.root,
-                   e.bytes, e.bytes_out);
-        break;
-      case EventType::kLockAcquire:
-        t.lock_acquire(e.loc, e.t, e.peer);
-        break;
-      case EventType::kLockRelease:
-        t.lock_release(e.loc, e.t, e.peer);
-        break;
-      case EventType::kCollBegin:
-        t.coll_begin(e.loc, e.t, e.comm, e.seq, e.op, e.root, e.tag,
-                     e.region);
-        break;
-    }
+    if (!d) return true;
+    fail(BinFail{d.kind, at, describe(d)});
+    return false;
   }
 
   const char* data_;
@@ -549,13 +436,6 @@ LoadResult load_trace_binary(std::shared_ptr<const std::string> data,
   const char* p = data->data();
   const std::size_t n = data->size();
   return load_binary_impl(p, n, std::move(data), options);
-}
-
-LoadResult load_trace_binary(std::istream& is, const LoadOptions& options) {
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  auto data = std::make_shared<const std::string>(std::move(buf).str());
-  return load_trace_binary(std::move(data), options);
 }
 
 LoadResult load_trace_binary_file(const std::string& path,

@@ -68,8 +68,4 @@ LoadResult load_trace_binary_file(const std::string& path,
 LoadResult load_trace_auto_file(const std::string& path,
                                 const LoadOptions& options = {});
 
-/// Streaming variant: reads all of `is` into a buffer, then loads it.
-LoadResult load_trace_binary(std::istream& is,
-                             const LoadOptions& options = {});
-
 }  // namespace ats::trace

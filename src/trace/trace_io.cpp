@@ -8,6 +8,7 @@
 // degrades into diagnostics instead of aborting the whole load.
 #include <algorithm>
 #include <charconv>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -38,6 +39,19 @@ void put(std::string& out, const Head& head, const Tail&... tail) {
   }
   if constexpr (sizeof...(tail) > 0) out += ' ';
   put(out, tail...);
+}
+
+/// Stores `v` into field `f` of `e` at the field's width.
+void set_field(Event& e, const EventField& f, std::int64_t v) {
+  auto* p = reinterpret_cast<unsigned char*>(&e) + f.offset;
+  if (f.kind == FieldKind::kCollOp) {
+    *p = static_cast<unsigned char>(v);
+  } else if (f.kind == FieldKind::kI32) {
+    const auto v32 = static_cast<std::int32_t>(v);
+    std::memcpy(p, &v32, sizeof v32);
+  } else {
+    std::memcpy(p, &v, sizeof v);
+  }
 }
 
 }  // namespace
@@ -79,36 +93,22 @@ void Trace::save(std::ostream& os) const {
     for_each_chunk_of(
         static_cast<LocId>(l), [&](const Event* ev, std::size_t n) {
           for (const Event* e = ev; e != ev + n; ++e) {
-            switch (e->type) {
-              case EventType::kEnter:
-                put(out, "E", e->loc, e->t.ns(), e->region);
-                break;
-              case EventType::kExit:
-                put(out, "X", e->loc, e->t.ns(), e->region);
-                break;
-              case EventType::kSend:
-                put(out, "S", e->loc, e->t.ns(), e->peer, e->tag, e->comm,
-                    e->bytes);
-                break;
-              case EventType::kRecv:
-                put(out, "R", e->loc, e->t.ns(), e->peer, e->tag, e->comm,
-                    e->bytes);
-                break;
-              case EventType::kCollEnd:
-                put(out, "C", e->loc, e->t.ns(), e->enter_t.ns(), e->comm,
-                    e->seq, to_string(e->op), e->root, e->bytes, e->bytes_out);
-                break;
-              case EventType::kLockAcquire:
-                put(out, "LA", e->loc, e->t.ns(), e->peer);
-                break;
-              case EventType::kLockRelease:
-                put(out, "LR", e->loc, e->t.ns(), e->peer);
-                break;
-              case EventType::kCollBegin:
-                put(out, "B", e->loc, e->t.ns(), e->comm, e->seq,
-                    to_string(e->op), e->root, e->tag, e->region);
-                break;
+            const auto type = static_cast<std::size_t>(e->type);
+            if (type >= std::size(kEventRecords)) {
+              throw TraceError("cannot save event type byte " +
+                               std::to_string(type));
             }
+            const EventRecord& r = kEventRecords[type];
+            out += r.keyword;
+            for (std::size_t i = 0; i < r.count; ++i) {
+              out += ' ';
+              if (r.fields[i].kind == FieldKind::kCollOp) {
+                out += to_string(e->op);
+              } else {
+                out += std::to_string(field_value(*e, r.fields[i]));
+              }
+            }
+            out += '\n';
           }
         });
   }
@@ -125,6 +125,22 @@ void Trace::save(std::ostream& os) const {
                      " records, expected " + std::to_string(expected));
   }
   os.write(out.data(), static_cast<std::streamsize>(out.size()));
+}
+
+const EventRecord* find_event_record(std::string_view kw) {
+  for (const EventRecord& r : kEventRecords) {
+    if (kw == r.keyword) return &r;
+  }
+  return nullptr;
+}
+
+std::string describe(EventDefect d) {
+  const std::string v = std::to_string(d.value);
+  if (d.field == nullptr) return "bad event type byte " + v;
+  if (d.kind == DiagnosticKind::kBadEnum) {
+    return std::string("bad ") + d.field->name + " byte " + v;
+  }
+  return d.field->name + (" " + v) + " was never declared";
 }
 
 // ----------------------------------------------------------------- loading
@@ -295,23 +311,6 @@ class Loader {
     }
   }
 
-  void check_loc(LocId loc, int column) {
-    if (loc < 0 ||
-        static_cast<std::size_t>(loc) >= res_.trace.location_count()) {
-      throw ParseFail{DiagnosticKind::kUnknownLocation, column,
-                      "location " + std::to_string(loc) +
-                          " was never declared"};
-    }
-  }
-
-  void check_comm(CommId comm, int column) {
-    if (comm < 0 ||
-        static_cast<std::size_t>(comm) >= res_.trace.comm_count()) {
-      throw ParseFail{DiagnosticKind::kUnknownComm, column,
-                      "comm " + std::to_string(comm) + " was never declared"};
-    }
-  }
-
   void record(const std::string& line) {
     Fields f(line);
     const std::string kw = f.word("keyword");
@@ -375,7 +374,13 @@ class Loader {
       }
       std::vector<LocId> members(static_cast<std::size_t>(n));
       for (auto& m : members) m = f.num<LocId>("member");
-      for (LocId m : members) check_loc(m, kind_col);
+      for (LocId m : members) {
+        if (m < 0 || static_cast<std::size_t>(m) >= t.location_count()) {
+          throw ParseFail{DiagnosticKind::kUnknownLocation, kind_col,
+                          "location " + std::to_string(m) +
+                              " was never declared"};
+        }
+      }
       const std::string name = f.rest_name();
       const CommId got = t.add_comm(ck, std::move(members), name);
       if (got != id) {
@@ -384,108 +389,47 @@ class Loader {
                             " out of dense order (added as " +
                             std::to_string(got) + ")"};
       }
-    } else if (kw == "E" || kw == "X") {
-      const int loc_col = f.column();
-      const LocId loc = f.num<LocId>("location");
-      const auto ns = f.num<std::int64_t>("timestamp");
-      const int region_col = f.column();
-      const RegionId region = f.num<RegionId>("region");
-      check_loc(loc, loc_col);
-      if (region < 0 ||
-          static_cast<std::size_t>(region) >= t.regions().size()) {
-        throw ParseFail{DiagnosticKind::kUnknownRegion, region_col,
-                        "region " + std::to_string(region) +
-                            " was never declared"};
-      }
-      if (kw == "E") {
-        t.enter(loc, VTime(ns), region);
-      } else {
-        t.exit(loc, VTime(ns), region);
-      }
-    } else if (kw == "S" || kw == "R") {
-      const int loc_col = f.column();
-      const LocId loc = f.num<LocId>("location");
-      const auto ns = f.num<std::int64_t>("timestamp");
-      const auto peer = f.num<std::int32_t>("peer");
-      const auto tag = f.num<std::int32_t>("tag");
-      const int comm_col = f.column();
-      const CommId comm = f.num<CommId>("comm");
-      const auto bytes = f.num<std::int64_t>("bytes");
-      check_loc(loc, loc_col);
-      check_comm(comm, comm_col);
-      if (kw == "S") {
-        t.send(loc, VTime(ns), peer, tag, comm, bytes);
-      } else {
-        t.recv(loc, VTime(ns), peer, tag, comm, bytes);
-      }
-    } else if (kw == "C") {
-      const int loc_col = f.column();
-      const LocId loc = f.num<LocId>("location");
-      const auto ns = f.num<std::int64_t>("timestamp");
-      const auto enter_ns = f.num<std::int64_t>("enter timestamp");
-      const int comm_col = f.column();
-      const CommId comm = f.num<CommId>("comm");
-      const auto seq = f.num<std::int64_t>("seq");
-      const int op_col = f.column();
-      const std::string op = f.word("collective op");
-      const auto root = f.num<std::int32_t>("root");
-      const auto bin = f.num<std::int64_t>("bytes in");
-      const auto bout = f.num<std::int64_t>("bytes out");
-      CollOp cop;
-      try {
-        cop = coll_op_from_string(op);
-      } catch (const TraceError&) {
-        throw ParseFail{DiagnosticKind::kBadEnum, op_col,
-                        "unknown collective op '" + op + "'"};
-      }
-      check_loc(loc, loc_col);
-      check_comm(comm, comm_col);
-      t.coll_end(loc, VTime(ns), VTime(enter_ns), comm, seq, cop, root, bin,
-                 bout);
-    } else if (kw == "B") {
-      const int loc_col = f.column();
-      const LocId loc = f.num<LocId>("location");
-      const auto ns = f.num<std::int64_t>("timestamp");
-      const int comm_col = f.column();
-      const CommId comm = f.num<CommId>("comm");
-      const auto seq = f.num<std::int64_t>("seq");
-      const int op_col = f.column();
-      const std::string op = f.word("collective op");
-      const auto root = f.num<std::int32_t>("root");
-      const auto rop = f.num<std::int32_t>("reduce op");
-      const int region_col = f.column();
-      const RegionId region = f.num<RegionId>("region");
-      CollOp cop;
-      try {
-        cop = coll_op_from_string(op);
-      } catch (const TraceError&) {
-        throw ParseFail{DiagnosticKind::kBadEnum, op_col,
-                        "unknown collective op '" + op + "'"};
-      }
-      check_loc(loc, loc_col);
-      check_comm(comm, comm_col);
-      if (region < 0 ||
-          static_cast<std::size_t>(region) >= t.regions().size()) {
-        throw ParseFail{DiagnosticKind::kUnknownRegion, region_col,
-                        "region " + std::to_string(region) +
-                            " was never declared"};
-      }
-      t.coll_begin(loc, VTime(ns), comm, seq, cop, root, rop, region);
-    } else if (kw == "LA" || kw == "LR") {
-      const int loc_col = f.column();
-      const LocId loc = f.num<LocId>("location");
-      const auto ns = f.num<std::int64_t>("timestamp");
-      const auto lock = f.num<std::int32_t>("lock id");
-      check_loc(loc, loc_col);
-      if (kw == "LA") {
-        t.lock_acquire(loc, VTime(ns), lock);
-      } else {
-        t.lock_release(loc, VTime(ns), lock);
-      }
+    } else if (const EventRecord* r = find_event_record(kw)) {
+      event(f, *r);
     } else {
       throw ParseFail{DiagnosticKind::kUnknownRecord, 1,
                       "unknown trace record '" + kw + "'"};
     }
+  }
+
+  /// Parses the fields of one event record in grammar order, then runs
+  /// check_event; a defect is reported at the column of its field.
+  void event(Fields& f, const EventRecord& r) {
+    Event e;
+    e.type = static_cast<EventType>(&r - kEventRecords);
+    int columns[kMaxEventFields];
+    std::string op_name;
+    for (std::size_t i = 0; i < r.count; ++i) {
+      const EventField& field = r.fields[i];
+      columns[i] = f.column();
+      std::int64_t v = 0xFF;  // an unknown op name stays out of range
+      if (field.kind == FieldKind::kCollOp) {
+        op_name = f.word(field.name);
+        try {
+          v = static_cast<std::int64_t>(coll_op_from_string(op_name));
+        } catch (const TraceError&) {
+        }
+      } else if (field.kind == FieldKind::kI32) {
+        v = f.num<std::int32_t>(field.name);
+      } else {
+        v = f.num<std::int64_t>(field.name);
+      }
+      set_field(e, field, v);
+    }
+    if (const EventDefect d = check_event(res_.trace, e)) {
+      const auto i = static_cast<std::size_t>(d.field - r.fields);
+      throw ParseFail{d.kind, columns[i],
+                      d.kind == DiagnosticKind::kBadEnum
+                          ? std::string("unknown ") + d.field->name + " '" +
+                                op_name + "'"
+                          : describe(d)};
+    }
+    res_.trace.append(e);
   }
 
   std::istream& is_;

@@ -390,6 +390,25 @@ TEST(DiffRender, TextCsvAndXmlCarryTheDelta) {
   EXPECT_NE(xml.find("attribution=\"late sender\""), std::string::npos);
 }
 
+TEST(DiffRender, CorpusCsvPrefixesEntryRowsAndMarksMissingEntries) {
+  auto b = make_snapshot({{"late sender", "main > send", "rank 0", 2.0}});
+  b.defects = {"root-mismatch 'world' call #3"};
+  diff::CorpusDiff c;
+  c.entries.resize(2);
+  c.entries[0].name = "alpha";
+  c.entries[0].diff = diff::diff_snapshots(
+      make_snapshot({{"late sender", "main > send", "rank 0", 1.0}}), b);
+  c.entries[1].name = "beta";
+  c.entries[1].missing_in_b = true;
+  EXPECT_EQ(diff::corpus_csv(c),
+            "entry,property,call_path,location,a_sec,b_sec,delta_sec,rel,"
+            "kind\n"
+            "alpha,late sender,main > send,rank 0,1.000000000,2.000000000,"
+            "1.000000000,0.5000,increased\n"
+            "alpha,defect,,root-mismatch 'world' call #3,0,1,1,1,added\n"
+            "beta,,,,0,0,0,0,missing_in_b\n");
+}
+
 #ifdef ATS_GOLDEN_DIR
 // The checked-in golden corpus self-diffs clean through the full corpus
 // path (file scan, CSV parse, defect parse, per-entry diff).

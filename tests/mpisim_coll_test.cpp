@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "mpisim/world.hpp"
+#include "test_util.hpp"
 
 namespace ats::mpi {
 namespace {
@@ -422,7 +423,7 @@ TEST(Coll, TraceCollEndRecordsPerRank) {
     p.barrier(p.comm_world());
   });
   int count = 0;
-  for (const auto* e : result.trace.merged()) {
+  for (const auto* e : testutil::merged(result.trace)) {
     if (e->type == trace::EventType::kCollEnd &&
         e->op == trace::CollOp::kBarrier && e->seq == 1) {
       ++count;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "mpisim/world.hpp"
+#include "test_util.hpp"
 
 namespace ats::mpi {
 namespace {
@@ -393,7 +394,7 @@ TEST(P2P, TraceRecordsSendRecvEvents) {
     }
   });
   int sends = 0, recvs = 0;
-  for (const auto* e : result.trace.merged()) {
+  for (const auto* e : testutil::merged(result.trace)) {
     if (e->type == trace::EventType::kSend) {
       ++sends;
       EXPECT_EQ(e->loc, 0);

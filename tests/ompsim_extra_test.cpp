@@ -174,7 +174,7 @@ TEST(OmpExtra, TraceLockEventsBalanced) {
                           });
                         });
   int acq = 0, rel = 0;
-  for (const auto* e : result.trace.merged()) {
+  for (const auto* e : testutil::merged(result.trace)) {
     if (e->type == trace::EventType::kLockAcquire) ++acq;
     if (e->type == trace::EventType::kLockRelease) ++rel;
   }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "ompsim/omp.hpp"
+#include "test_util.hpp"
 
 namespace ats::omp {
 namespace {
@@ -341,7 +342,7 @@ TEST(Omp, IBarrierEventsTaggedPerConstruct) {
                           });
                         });
   int ibarriers = 0, explicit_barriers = 0;
-  for (const auto* e : result.trace.merged()) {
+  for (const auto* e : testutil::merged(result.trace)) {
     if (e->type != trace::EventType::kCollEnd) continue;
     if (e->op == trace::CollOp::kOmpIBarrier) ++ibarriers;
     if (e->op == trace::CollOp::kOmpBarrier) ++explicit_barriers;

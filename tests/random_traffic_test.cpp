@@ -157,7 +157,7 @@ TEST_P(RandomCollectiveTest, SequencesComplete) {
   });
   // Every collective instance in the trace must be complete (np records).
   std::map<std::pair<int, std::int64_t>, int> groups;
-  for (const auto* e : result.trace.merged()) {
+  for (const auto* e : testutil::merged(result.trace)) {
     if (e->type == trace::EventType::kCollEnd) {
       ++groups[{e->comm, e->seq}];
     }

@@ -2,11 +2,14 @@
 // assertions are exact, and one-call runners for property functions.
 #pragma once
 
+#include <vector>
+
 #include "analyzer/analyzer.hpp"
 #include "core/composite.hpp"
 #include "core/properties.hpp"
 #include "mpisim/world.hpp"
 #include "ompsim/omp.hpp"
+#include "trace/trace.hpp"
 
 namespace ats::testutil {
 
@@ -75,6 +78,14 @@ inline trace::Trace run_prop_omp(
                         body(pc);
                       })
       .trace;
+}
+
+/// Every event of `t` in the analyzer's merge order (Trace::for_each_merged).
+inline std::vector<const trace::Event*> merged(const trace::Trace& t) {
+  std::vector<const trace::Event*> out;
+  out.reserve(t.event_count());
+  t.for_each_merged([&](const trace::Event& e) { out.push_back(&e); });
+  return out;
 }
 
 /// Analyzer severity (subtree) of `p` as a fraction of total time.

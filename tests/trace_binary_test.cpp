@@ -7,8 +7,10 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "analyzer/analyzer.hpp"
 #include "gen/registry.hpp"
@@ -109,7 +111,11 @@ TEST(TraceBinary, GoldenCorpusAnalyzesIdenticallyEitherWay) {
   for (const auto& entry :
        std::filesystem::directory_iterator(ATS_GOLDEN_DIR)) {
     if (entry.path().extension() != ".trace") continue;
-    std::ifstream in(entry.path(), std::ios::binary);
+    const std::string bytes = read_file(entry.path().string());
+    // The checked-in file is exactly what Trace::save writes for it.
+    std::istringstream strict_in(bytes);
+    EXPECT_EQ(text_of(trace::Trace::load(strict_in)), bytes) << entry.path();
+    std::istringstream in(bytes);
     const trace::LoadResult text_loaded = trace::load_trace(in);
     ASSERT_TRUE(text_loaded.ok()) << entry.path();
     const trace::LoadResult bin_loaded = trace::load_trace_binary(
@@ -161,7 +167,7 @@ TEST(TraceBinary, DetectFormatClassifiesBothContainers) {
   EXPECT_EQ(trace::detect_trace_format(bin), trace::TraceFormat::kBinary);
   EXPECT_EQ(trace::detect_trace_format(txt), trace::TraceFormat::kText);
   // Detection peeks; the stream must still load from the start.
-  EXPECT_TRUE(trace::load_trace_binary(bin).ok());
+  EXPECT_TRUE(trace::load_trace(txt).ok());
 }
 
 // ------------------------------------------------------------ diagnostics
@@ -177,6 +183,94 @@ TEST(TraceBinary, DiagnosticCitesRecordOrdinalAndOffset) {
   const std::string s = res.diagnostics.front().str();
   EXPECT_NE(s.find("trace[bin]:record"), std::string::npos) << s;
   EXPECT_NE(s.find("§7"), std::string::npos) << s;
+}
+
+TEST(TraceBinary, BothLoadersReportTheSameRecordDefects) {
+  // One planted defect per checkable field of each event type, between
+  // valid records.  Lock records reference only their location, which the
+  // binary container encodes as block membership, so they appear as
+  // survivors only.
+  using trace::CollOp;
+  using trace::DiagnosticKind;
+  using trace::Event;
+  using trace::EventType;
+  const auto bad_op = static_cast<CollOp>(200);
+  struct Planted {
+    Event e;
+    std::optional<DiagnosticKind> defect;
+  };
+  const std::vector<Planted> records = {
+      {{.t = VTime(1), .loc = 0, .region = 0, .type = EventType::kEnter}, {}},
+      {{.t = VTime(2), .loc = 0, .region = 9, .type = EventType::kEnter},
+       DiagnosticKind::kUnknownRegion},
+      {{.t = VTime(3), .loc = 0, .region = 9, .type = EventType::kExit},
+       DiagnosticKind::kUnknownRegion},
+      {{.t = VTime(4), .bytes = 8, .loc = 0, .peer = 1, .tag = 3, .comm = 7,
+        .type = EventType::kSend},
+       DiagnosticKind::kUnknownComm},
+      {{.t = VTime(5), .bytes = 8, .loc = 0, .peer = 1, .tag = 3, .comm = 0,
+        .type = EventType::kSend},
+       {}},
+      {{.t = VTime(6), .loc = 0, .peer = 2, .type = EventType::kLockAcquire},
+       {}},
+      {{.t = VTime(7), .loc = 0, .peer = 2, .type = EventType::kLockRelease},
+       {}},
+      {{.t = VTime(8), .loc = 0, .region = 0, .type = EventType::kExit}, {}},
+      {{.t = VTime(1), .bytes = 8, .loc = 1, .peer = 0, .tag = 3, .comm = -2,
+        .type = EventType::kRecv},
+       DiagnosticKind::kUnknownComm},
+      {{.t = VTime(2), .enter_t = VTime(1), .seq = 0, .loc = 1, .comm = 7,
+        .type = EventType::kCollEnd},
+       DiagnosticKind::kUnknownComm},
+      {{.t = VTime(3), .enter_t = VTime(2), .seq = 1, .loc = 1, .comm = 0,
+        .type = EventType::kCollEnd, .op = bad_op},
+       DiagnosticKind::kBadEnum},
+      {{.t = VTime(4), .seq = 2, .loc = 1, .region = 0, .comm = 0,
+        .type = EventType::kCollBegin, .op = bad_op},
+       DiagnosticKind::kBadEnum},
+      {{.t = VTime(5), .seq = 2, .loc = 1, .region = 0, .comm = 7,
+        .type = EventType::kCollBegin},
+       DiagnosticKind::kUnknownComm},
+      {{.t = VTime(6), .seq = 2, .loc = 1, .region = 9, .comm = 0,
+        .type = EventType::kCollBegin},
+       DiagnosticKind::kUnknownRegion},
+      {{.t = VTime(7), .enter_t = VTime(4), .seq = 2, .loc = 1, .comm = 0,
+        .type = EventType::kCollEnd},
+       {}},
+  };
+  trace::Trace planted;
+  trace::Trace survivors;
+  for (trace::Trace* t : {&planted, &survivors}) {
+    for (trace::LocId l = 0; l < 2; ++l) {
+      trace::LocationInfo li;
+      li.id = l;
+      li.rank = l;
+      li.name = "rank " + std::to_string(l);
+      t->add_location(li);
+    }
+    t->add_comm(trace::CommKind::kMpiComm, {0, 1}, "world");
+    t->regions().intern("main", trace::RegionKind::kUser);
+  }
+  std::vector<DiagnosticKind> expected;
+  for (const Planted& p : records) {
+    planted.append(p.e);
+    if (p.defect) {
+      expected.push_back(*p.defect);
+    } else {
+      survivors.append(p.e);
+    }
+  }
+  std::istringstream in(text_of(planted));
+  const trace::LoadResult from_text = trace::load_trace(in);
+  const trace::LoadResult from_binary = trace::load_trace_binary(
+      std::make_shared<const std::string>(binary_of(planted)));
+  for (const trace::LoadResult* r : {&from_text, &from_binary}) {
+    std::vector<DiagnosticKind> got;
+    for (const auto& d : r->diagnostics) got.push_back(d.kind);
+    EXPECT_EQ(got, expected);
+    EXPECT_EQ(r->records_dropped, expected.size());
+    EXPECT_EQ(text_of(r->trace), text_of(survivors));
+  }
 }
 
 // ------------------------------------------------------ spill-to-disk

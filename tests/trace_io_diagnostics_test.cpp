@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "test_util.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_io.hpp"
 
@@ -221,7 +222,7 @@ TEST(TraceIoDiagnostics, PristineRoundTripIsByteIdentical) {
 }
 
 TEST(TraceIoDiagnostics, MergedTieOrderSurvivesRoundTrip) {
-  // Timestamp ties pin merged() order to (time, loc, recording order);
+  // Timestamp ties pin the merge order to (time, loc, recording order);
   // that order must be identical after a save/load round trip.
   Trace t;
   t.add_location(proc_info(0, "a"));
@@ -237,8 +238,8 @@ TEST(TraceIoDiagnostics, MergedTieOrderSurvivesRoundTrip) {
   std::stringstream ss;
   t.save(ss);
   const Trace u = Trace::load(ss);
-  const auto& a = t.merged();
-  const auto& b = u.merged();
+  const auto a = testutil::merged(t);
+  const auto b = testutil::merged(u);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i]->loc, b[i]->loc) << "index " << i;

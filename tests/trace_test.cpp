@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "test_util.hpp"
 #include "trace/trace.hpp"
 
 namespace ats::trace {
@@ -86,7 +87,7 @@ TEST(Trace, MergedIsTimeOrdered) {
   t.enter(0, VTime(100), r);
   t.exit(1, VTime(150), r);
   t.exit(0, VTime(200), r);
-  const auto m = t.merged();
+  const auto m = testutil::merged(t);
   ASSERT_EQ(m.size(), 4u);
   EXPECT_EQ(m[0]->loc, 1);
   EXPECT_EQ(m[1]->loc, 0);
@@ -102,12 +103,12 @@ TEST(Trace, MergedTieBreaksByLocation) {
   const RegionId r = t.regions().intern("x", RegionKind::kUser);
   t.enter(1, VTime(100), r);
   t.enter(0, VTime(100), r);
-  const auto m = t.merged();
+  const auto m = testutil::merged(t);
   EXPECT_EQ(m[0]->loc, 0);
   EXPECT_EQ(m[1]->loc, 1);
 }
 
-/// The seed's merged(): collect + stable_sort by (t, loc).  The k-way merge
+/// The seed's merged(): collect + stable_sort by (t, loc).  The radix merge
 /// must reproduce this order bit-for-bit, including all tie-break cases.
 std::vector<const Event*> reference_merged(const Trace& t) {
   std::vector<const Event*> out;
@@ -144,7 +145,7 @@ TEST(Trace, MergedPinsStableSortSemantics) {
   t.enter(2, VTime(150), r);
 
   const auto ref = reference_merged(t);
-  const auto& got = t.merged();
+  const auto got = testutil::merged(t);
   ASSERT_EQ(got.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_EQ(got[i], ref[i]) << "divergence at merged index " << i;
@@ -185,7 +186,7 @@ TEST(Trace, MergedMatchesReferenceOnRandomTraces) {
       t.enter(loc, VTime(ts), r);
     }
     const auto ref = reference_merged(t);
-    const auto& got = t.merged();
+    const auto got = testutil::merged(t);
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < ref.size(); ++i) {
       ASSERT_EQ(got[i], ref[i])
@@ -194,16 +195,14 @@ TEST(Trace, MergedMatchesReferenceOnRandomTraces) {
   }
 }
 
-/// Checks both merge entry points against reference_merged().
+/// Checks the merge order against reference_merged().
 void expect_reference_order(const Trace& t) {
   const auto ref = reference_merged(t);
-  std::vector<const Event*> streamed;
-  t.for_each_merged([&](const Event& e) { streamed.push_back(&e); });
-  ASSERT_EQ(streamed.size(), ref.size());
+  const auto got = testutil::merged(t);
+  ASSERT_EQ(got.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
-    ASSERT_EQ(streamed[i], ref[i]) << "diverged at merged index " << i;
+    ASSERT_EQ(got[i], ref[i]) << "diverged at merged index " << i;
   }
-  EXPECT_EQ(t.merged(), ref);
 }
 
 Trace trace_with_locations(int nlocs) {
@@ -224,7 +223,7 @@ TEST(TraceMergeOrder, NegativeTimestamps) {
   t.enter(0, VTime(3), r);
   t.enter(2, VTime(-4), r);
   expect_reference_order(t);
-  EXPECT_EQ(t.merged().front()->t, VTime(-1000000007));
+  EXPECT_EQ(testutil::merged(t).front()->t, VTime(-1000000007));
 }
 
 TEST(TraceMergeOrder, FullInt64Range) {
@@ -240,7 +239,7 @@ TEST(TraceMergeOrder, FullInt64Range) {
   t.enter(1, VTime(lo), r);
   t.enter(0, VTime(-1), r);
   expect_reference_order(t);
-  const auto& m = t.merged();
+  const auto m = testutil::merged(t);
   EXPECT_EQ(m.front()->t, VTime(lo));
   EXPECT_EQ(m.back()->t, VTime(hi));
 }
@@ -308,36 +307,6 @@ TEST(TraceMergeOrder, SpilledTraceThrows) {
   for (int i = 0; i < 100; ++i) t.enter(i % 2, VTime(i), r);
   ASSERT_GT(t.spilled_bytes(), 0u);
   EXPECT_THROW(t.for_each_merged([](const Event&) {}), TraceError);
-  EXPECT_THROW((void)t.merged(), TraceError);
-}
-
-TEST(Trace, MergedCacheInvalidatedByAppend) {
-  Trace t;
-  t.add_location(proc_info(0, "a"));
-  const RegionId r = t.regions().intern("x", RegionKind::kUser);
-  t.enter(0, VTime(10), r);
-  EXPECT_EQ(t.merged().size(), 1u);
-  t.exit(0, VTime(20), r);
-  const auto& m = t.merged();
-  ASSERT_EQ(m.size(), 2u);
-  EXPECT_EQ(m[1]->t, VTime(20));
-}
-
-TEST(Trace, ForEachMergedMatchesMaterialisedView) {
-  Trace t;
-  t.add_location(proc_info(0, "a"));
-  t.add_location(proc_info(1, "b"));
-  const RegionId r = t.regions().intern("x", RegionKind::kUser);
-  t.enter(0, VTime(5), r);
-  t.enter(1, VTime(3), r);
-  t.enter(1, VTime(5), r);
-  std::vector<const Event*> streamed;
-  t.for_each_merged([&](const Event& e) { streamed.push_back(&e); });
-  const auto& view = t.merged();
-  ASSERT_EQ(streamed.size(), view.size());
-  for (std::size_t i = 0; i < view.size(); ++i) {
-    EXPECT_EQ(streamed[i], view[i]);
-  }
 }
 
 TEST(Trace, BeginEndTimes) {
@@ -447,8 +416,8 @@ TEST(TraceIo, SaveLoadRoundTrip) {
   EXPECT_EQ(u.comm(1).kind, CommKind::kOmpTeam);
   EXPECT_EQ(u.comm(1).name, "team one");
 
-  const auto a = t.merged();
-  const auto b = u.merged();
+  const auto a = testutil::merged(t);
+  const auto b = testutil::merged(u);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i]->t, b[i]->t);
