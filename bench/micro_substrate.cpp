@@ -1,9 +1,9 @@
 // MICRO — google-benchmark microbenchmarks of the substrate: scheduler
-// handoff cost, p2p message rate, collective rate, trace recording and
-// serialisation, distribution evaluation, analyzer replay rate.  These
-// quantify the simulator's own performance (events/second), which bounds
-// how large a synthetic test program the suite can generate per second of
-// host time.
+// handoff cost, p2p message rate (eager and rendezvous), collective rate
+// (all-to-all and rooted skeletons), trace recording and serialisation,
+// distribution evaluation, analyzer replay rate.  These quantify the
+// simulator's own performance (events/second), which bounds how large a
+// synthetic test program the suite can generate per second of host time.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -38,29 +38,47 @@ void BM_SchedulerHandoff(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerHandoff)->Unit(benchmark::kMillisecond);
 
-void BM_P2PMessageRate(benchmark::State& state) {
-  const int msgs = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    mpi::MpiRunOptions opt;
-    opt.nprocs = 2;
-    mpi::run_mpi(opt, [&](mpi::Proc& p) {
-      int v = 0;
-      if (p.world_rank() == 0) {
-        for (int i = 0; i < msgs; ++i) {
-          p.send(&v, 1, mpi::Datatype::kInt32, 1, 0, p.comm_world());
-        }
-      } else {
-        for (int i = 0; i < msgs; ++i) {
-          p.recv(&v, 1, mpi::Datatype::kInt32, 0, 0, p.comm_world());
-        }
+/// `msgs` blocking send/recv pairs of `count` ints from rank 0 to rank 1.
+void run_messages(int msgs, int count) {
+  std::vector<int> buf(static_cast<std::size_t>(count));
+  mpi::MpiRunOptions opt;
+  opt.nprocs = 2;
+  mpi::run_mpi(opt, [&](mpi::Proc& p) {
+    if (p.world_rank() == 0) {
+      for (int i = 0; i < msgs; ++i) {
+        p.send(buf.data(), count, mpi::Datatype::kInt32, 1, 0, p.comm_world());
       }
-    });
-  }
+    } else {
+      for (int i = 0; i < msgs; ++i) {
+        p.recv(buf.data(), count, mpi::Datatype::kInt32, 0, 0, p.comm_world());
+      }
+    }
+  });
+}
+
+void BM_P2PMessageRate(benchmark::State& state) {
+  // One-int messages: the eager protocol.
+  const int msgs = static_cast<int>(state.range(0));
+  for (auto _ : state) run_messages(msgs, 1);
   state.SetItemsProcessed(state.iterations() * msgs);
 }
 BENCHMARK(BM_P2PMessageRate)->Arg(500)->Unit(benchmark::kMillisecond);
 
+void BM_P2PRendezvousRate(benchmark::State& state) {
+  // Messages of `bytes` above the default 16 KiB eager threshold: every
+  // send waits for its receive (the rendezvous protocol).
+  const int msgs = static_cast<int>(state.range(0));
+  const int count = static_cast<int>(state.range(1) / 4);
+  for (auto _ : state) run_messages(msgs, count);
+  state.SetItemsProcessed(state.iterations() * msgs);
+}
+BENCHMARK(BM_P2PRendezvousRate)
+    ->ArgNames({"msgs", "bytes"})
+    ->Args({500, 32 << 10})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_CollectiveRate(benchmark::State& state) {
+  // Barriers: the all-to-all skeleton.
   const int np = static_cast<int>(state.range(0));
   const int colls = 50;
   for (auto _ : state) {
@@ -73,6 +91,30 @@ void BM_CollectiveRate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * colls * np);
 }
 BENCHMARK(BM_CollectiveRate)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
+
+void BM_RootedCollectiveRate(benchmark::State& state) {
+  // One bcast (root-source skeleton) and one reduce (root-sink skeleton)
+  // per round, rooted at rank 0.
+  const int np = static_cast<int>(state.range(0));
+  const int rounds = 25;
+  for (auto _ : state) {
+    mpi::MpiRunOptions opt;
+    opt.nprocs = np;
+    mpi::run_mpi(opt, [&](mpi::Proc& p) {
+      double v = 1.0, sum = 0.0;
+      for (int i = 0; i < rounds; ++i) {
+        p.bcast(&v, 1, mpi::Datatype::kDouble, 0, p.comm_world());
+        p.reduce(&v, &sum, 1, mpi::Datatype::kDouble, mpi::ReduceOp::kSum, 0,
+                 p.comm_world());
+      }
+    });
+  }
+  state.SetItemsProcessed(state.iterations() * rounds * 2 * np);
+}
+BENCHMARK(BM_RootedCollectiveRate)
+    ->Arg(4)
+    ->Arg(16)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DistributionEval(benchmark::State& state) {
   const core::Distribution d = core::Distribution::linear(0.01, 0.05);

@@ -96,6 +96,34 @@ TEST(RankFault, DroppedSendStarvesReceiverIntoDeadlock) {
                DeadlockError);
 }
 
+TEST(RankFault, DroppedIsendCompletesLocallyAndNeverArrives) {
+  // A dropped isend completes at its send record, like a dropped blocking
+  // send, even under rendezvous (eager_threshold 0) with the matching irecv
+  // already posted: the receive never sees the message.
+  MpiRunOptions opt = clean_options(2);
+  opt.cost.send_overhead = VDur::micros(3);
+  opt.cost.eager_threshold = 0;
+  opt.faults.drop_sends(0);
+  VTime send_done;
+  bool arrived = true;
+  const MpiRunResult result = run_mpi(opt, [&](Proc& p) {
+    int v = 7;
+    if (p.world_rank() == 0) {
+      p.sim().advance(VDur::millis(1));
+      Request r = p.isend(&v, 1, Datatype::kInt32, 1, 0, p.comm_world());
+      p.wait(r);
+      send_done = p.sim().now();
+    } else {
+      Request r = p.irecv(&v, 1, Datatype::kInt32, 0, 0, p.comm_world());
+      p.sim().advance(VDur::millis(10));
+      arrived = p.test(r) || p.iprobe(0, kAnyTag, p.comm_world());
+    }
+  });
+  EXPECT_EQ(send_done, VTime::zero() + VDur::millis(1) + VDur::micros(3));
+  EXPECT_FALSE(arrived);
+  EXPECT_EQ(result.fault_report.sends_dropped, 1u);
+}
+
 TEST(RankFault, DropSendsCountsDroppedMessages) {
   // The receiver never posts matching receives, so the run completes and
   // the report is observable: every send from rank 0 after `from` vanishes.
