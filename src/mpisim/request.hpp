@@ -18,8 +18,9 @@ struct Status {
   int count = 0;
 };
 
-/// Shared state of a pending isend/irecv.  The initiating rank holds the
-/// Request; the completing rank (the matching peer) fills the state.
+/// Shared state of a pending isend/irecv (and of a blocking recv while it
+/// waits).  The initiating rank holds the Request; the completing rank (the
+/// matching peer) fills the state.
 struct RequestState {
   bool done = false;
   bool is_recv = false;

@@ -200,12 +200,7 @@ void Proc::init() {
   ctx_.advance(world_->cost().init_cost);
   // MPI_Init synchronises the ranks in practice (shared launcher); model it
   // as a barrier so stragglers show up inside MPI_Init, as in Fig. 3.2.
-  std::int64_t seq = 0;
-  Comm& comm = world_->comm_world();
-  detail::CollInstance& inst =
-      coll_enter(comm, trace::CollOp::kBarrier, -1, Datatype::kByte, 0, seq,
-                 trace::kNone);
-  coll_all_wait(comm, inst, seq, [](detail::CollInstance&) {});
+  world_barrier();
   world_->trace()->exit(ctx_.id(), ctx_.now(), reg);
 }
 
@@ -213,12 +208,7 @@ void Proc::finalize() {
   const trace::RegionId reg =
       world_->region("MPI_Finalize", trace::RegionKind::kMpiOther);
   world_->trace()->enter(ctx_.id(), ctx_.now(), reg);
-  std::int64_t seq = 0;
-  Comm& comm = world_->comm_world();
-  detail::CollInstance& inst =
-      coll_enter(comm, trace::CollOp::kBarrier, -1, Datatype::kByte, 0, seq,
-                 trace::kNone);
-  coll_all_wait(comm, inst, seq, [](detail::CollInstance&) {});
+  world_barrier();
   ctx_.advance(world_->cost().finalize_cost);
   world_->trace()->exit(ctx_.id(), ctx_.now(), reg);
 }

@@ -187,16 +187,23 @@ class Proc {
   void finalize();  ///< models MPI_Finalize
 
   // p2p internals (p2p.cpp)
-  void send_impl(const void* data, int count, Datatype type, int dest,
-                 int tag, Comm& comm, bool force_sync, const char* region);
-  Request isend_impl(const void* data, int count, Datatype type, int dest,
-                     int tag, Comm& comm);
-  /// Finds a matching unexpected message; consumes and returns it.
-  std::optional<detail::PendingMsg> match_unexpected(Comm& comm, int my_rank,
-                                                     int src, int tag);
-  /// Finds a matching posted recv; consumes and returns it.
-  std::optional<detail::PendingRecv> match_posted(Comm& comm, int dest,
-                                                  int src_rank, int tag);
+  /// The one send path of send/ssend (`req` null: advance or block until
+  /// the sender's part is over) and isend (fill `req` instead).
+  void send_message(const void* data, int count, Datatype type, int dest,
+                    int tag, Comm& comm, const char* region, bool force_sync,
+                    const std::shared_ptr<RequestState>& req);
+  /// Receive prologue shared by recv and irecv: checks, enters `region`,
+  /// pays the overhead, then takes the first matching unexpected message.
+  std::optional<detail::PendingMsg> begin_receive(int src, int tag,
+                                                  Comm& comm,
+                                                  trace::RegionId region);
+  /// Receives the unexpected message `m` into `data` at the current clock:
+  /// copies it, releases a rendezvous sender, returns the completion time.
+  VTime complete_unexpected(detail::PendingMsg& m, void* data,
+                            std::int64_t capacity);
+  /// Posts a receive for the matching send to complete through `req`.
+  void post_receive(void* data, std::int64_t capacity, int src, int tag,
+                    Comm& comm, std::shared_ptr<RequestState> req);
   void complete_request(RequestState& st, VTime at, const Status& status);
   /// Enqueues an unexpected message and releases matching probe waiters.
   void enqueue_unexpected(Comm& comm, int dest, detail::PendingMsg msg);
@@ -214,14 +221,28 @@ class Proc {
                                    std::int64_t& seq_out,
                                    trace::RegionId region,
                                    std::int32_t rop = trace::kNone);
-  void coll_finish(Comm& comm, std::int64_t seq, trace::CollOp op,
-                   VTime enter_t, std::int64_t bytes_in,
-                   std::int64_t bytes_out, trace::RegionId region);
-  /// Implements the wait/compute logic shared by all-to-all-shaped ops.
+  void coll_finish(Comm& comm, std::int64_t seq, VTime enter_t,
+                   std::int64_t bytes_in, std::int64_t bytes_out,
+                   trace::RegionId region);
+  /// All-to-all skeleton: the last arriver runs `compute_outputs` and
+  /// releases everyone at max(enter) + cost.
   void coll_all_wait(Comm& comm, detail::CollInstance& inst,
-                     std::int64_t seq,
                      const std::function<void(detail::CollInstance&)>&
                          compute_outputs);
+  /// Root-source skeleton: the root has staged inst.root_data and every
+  /// rank's slice; each rank receives its slice into `out`.
+  void coll_root_source(Comm& comm, detail::CollInstance& inst, void* out,
+                        std::int64_t capacity, const char* wait_reason);
+  /// Root-sink skeleton: each rank contributes `sbytes` from `sdata`; the
+  /// rank completing the instance runs `finalize` (fills the root's `out`).
+  void coll_root_sink(Comm& comm, detail::CollInstance& inst,
+                      const void* sdata, std::int64_t sbytes, void* out,
+                      const std::function<void(detail::CollInstance&)>&
+                          finalize,
+                      const char* wait_reason);
+  /// The implicit MPI_COMM_WORLD barrier of MPI_Init / MPI_Finalize (no
+  /// region or collective records).
+  void world_barrier();
   void scatterv_impl(trace::CollOp op, const void* sdata,
                      std::span<const int> scounts, std::span<const int> displs,
                      void* rdata, int rcount, Datatype type, int root,

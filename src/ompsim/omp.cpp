@@ -101,16 +101,9 @@ void OmpCtx::barrier_impl(trace::CollOp op) {
   const int p = num_threads();
   auto* tr = runtime().trace();
   ctx_.yield();
-  const std::size_t utid = static_cast<std::size_t>(tid_);
-  const std::int64_t seq = team_->barrier_count[utid]++;
-  auto [it, inserted] = team_->barriers.try_emplace(seq);
-  detail::BarrierInst& inst = it->second;
-  if (inserted) {
-    inst.enter.assign(static_cast<std::size_t>(p), VTime::max());
-    inst.present.assign(static_cast<std::size_t>(p), false);
-  }
-  inst.present[utid] = true;
-  inst.enter[utid] = ctx_.now();
+  const std::int64_t seq =
+      team_->barrier_count[static_cast<std::size_t>(tid_)]++;
+  detail::BarrierInst& inst = team_->barriers[seq];
   inst.max_enter = later(inst.max_enter, ctx_.now());
   ++inst.arrived;
   const VTime enter_t = ctx_.now();

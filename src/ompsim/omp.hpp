@@ -79,8 +79,6 @@ struct BarrierInst {
   int arrived = 0;
   int exited = 0;
   VTime max_enter;
-  std::vector<VTime> enter;
-  std::vector<bool> present;
 };
 
 struct WsInst {
