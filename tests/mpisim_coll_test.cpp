@@ -247,6 +247,84 @@ TEST(Coll, GathervCountMismatchThrows) {
       MpiError);
 }
 
+// --- one cost per rooted instance -----------------------------------------
+//
+// 3 ranks with counts {1, 2, 300} ints: a rooted instance charges every rank
+// the cost of its widest slice (scatterv) or largest contribution (gatherv),
+// whatever order the ranks arrive in.
+
+const std::vector<int> kUnevenCounts{1, 2, 300};
+const std::vector<int> kUnevenDispls{0, 1, 3};
+
+CostModel costed() {
+  CostModel cm = clean_cost();
+  cm.coll_stage = VDur::micros(10);
+  cm.bandwidth_bytes_per_sec = 100e6;
+  return cm;
+}
+
+/// Enters a 3-rank scatterv from root 0 (at 10ms) with rank 1, the
+/// small-count rank, entering `rank1_shift` from the root; returns rank 1's
+/// exit minus max(its enter, the root's enter).
+VDur scatterv_rank1_cost(VDur rank1_shift) {
+  MpiRunOptions opt = clean_options(3);
+  opt.cost = costed();
+  const VTime root_enter = VTime::zero() + ms(10);
+  VDur paid;
+  run_mpi(opt, [&](Proc& p) {
+    const int me = p.world_rank();
+    std::vector<int> src(303, 7);
+    std::vector<int> mine(300, -1);
+    const VTime enter = me == 1 ? root_enter + rank1_shift : root_enter;
+    p.sim().advance_to(enter);
+    p.scatterv(src.data(), kUnevenCounts, kUnevenDispls, mine.data(),
+               kUnevenCounts[static_cast<std::size_t>(me)], Datatype::kInt32,
+               0, p.comm_world());
+    if (me == 1) paid = p.sim().now() - later(enter, root_enter);
+  });
+  return paid;
+}
+
+TEST(Coll, ScattervChargesOneCostWhateverTheArrivalOrder) {
+  const VDur cost = costed().collective_time(3, 300 * 4);
+  EXPECT_EQ(scatterv_rank1_cost(VDur::nanos(-2)), cost);  // root releases
+  EXPECT_EQ(scatterv_rank1_cost(VDur::nanos(2)), cost);   // root was first
+}
+
+/// Root 0 enters a 3-rank gatherv at 1ms and waits; the last contributor
+/// enters at 10ms, the other one 2ns before.  `rank1_last` picks the
+/// small-count rank 1 as the last one.  Returns the root's exit time.
+VTime gatherv_root_exit(bool rank1_last) {
+  MpiRunOptions opt = clean_options(3);
+  opt.cost = costed();
+  const VTime last = VTime::zero() + ms(10);
+  const VTime second = last - VDur::nanos(2);
+  VTime root_exit;
+  run_mpi(opt, [&](Proc& p) {
+    const int me = p.world_rank();
+    const VTime enter = me == 0   ? VTime::zero() + ms(1)
+                        : me == 1 ? (rank1_last ? last : second)
+                                  : (rank1_last ? second : last);
+    p.sim().advance_to(enter);
+    std::vector<int> mine(
+        static_cast<std::size_t>(kUnevenCounts[static_cast<std::size_t>(me)]),
+        me);
+    std::vector<int> all(303, -1);
+    p.gatherv(mine.data(), static_cast<int>(mine.size()), all.data(),
+              kUnevenCounts, kUnevenDispls, Datatype::kInt32, 0,
+              p.comm_world());
+    if (me == 0) root_exit = p.sim().now();
+  });
+  return root_exit;
+}
+
+TEST(Coll, GathervChargesOneCostWhateverTheArrivalOrder) {
+  const VTime want =
+      VTime::zero() + ms(10) + costed().collective_time(3, 300 * 4);
+  EXPECT_EQ(gatherv_root_exit(false), want);  // rank 2 completes
+  EXPECT_EQ(gatherv_root_exit(true), want);   // rank 1 completes
+}
+
 TEST(Coll, AlltoallTransposes) {
   std::vector<std::vector<int>> got(3);
   run_mpi(clean_options(3), [&](Proc& p) {
