@@ -1,5 +1,5 @@
 // MICRO — google-benchmark microbenchmarks of the substrate: scheduler
-// handoff cost, p2p message rate (eager and rendezvous), collective rate
+// handoff cost, engine set-up and teardown, p2p message rate (eager and rendezvous), collective rate
 // (all-to-all and rooted skeletons), trace recording and serialisation,
 // distribution evaluation, analyzer replay rate.  These quantify the
 // simulator's own performance (events/second), which bounds how large a
@@ -37,6 +37,26 @@ void BM_SchedulerHandoff(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * yields_per_run);
 }
 BENCHMARK(BM_SchedulerHandoff)->Unit(benchmark::kMillisecond);
+
+// The fixed cost a sweep cell pays per engine: build it, give each of
+// `locations` locations a fiber stack for one advance, tear it down.
+// Back-to-back engines on one thread reuse the previous engine's stacks.
+void BM_EngineLifecycle(benchmark::State& state) {
+  const auto locations = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    simt::Engine eng;
+    for (int i = 0; i < locations; ++i) {
+      eng.add_location("loc", [i](simt::Context& c) {
+        c.advance(VDur::micros(1 + i % 7));
+      });
+    }
+    eng.run();
+    benchmark::DoNotOptimize(eng.horizon());
+  }
+  state.SetItemsProcessed(state.iterations() * locations);
+}
+BENCHMARK(BM_EngineLifecycle)->Arg(16)->Arg(64)->Arg(256)
+    ->Unit(benchmark::kMicrosecond);
 
 /// `msgs` blocking send/recv pairs of `count` ints from rank 0 to rank 1.
 void run_messages(int msgs, int count) {

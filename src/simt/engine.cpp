@@ -158,8 +158,20 @@ void Context::join(std::span<const LocationId> children) {
 
 // ----------------------------------------------------------------- Engine
 
+namespace {
+std::size_t checked_stack_bytes(std::size_t bytes) {
+  if (bytes < kMinFiberStackBytes) {
+    throw UsageError("Engine: fiber_stack_bytes " + std::to_string(bytes) +
+                     " is below the " + std::to_string(kMinFiberStackBytes) +
+                     "-byte minimum");
+  }
+  return bytes;
+}
+}  // namespace
+
 Engine::Engine(EngineOptions options)
-    : options_(options), pool_(options.fiber_stack_bytes) {}
+    : options_(options),
+      pool_(checked_stack_bytes(options.fiber_stack_bytes)) {}
 
 Engine::~Engine() {
   // Normal completion (and every failure path) shuts down inside run();

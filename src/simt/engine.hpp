@@ -17,6 +17,9 @@
 // Every location is a stackful fiber (fiber.hpp) on the calling thread,
 // with its stack drawn from a StackPool (stack_pool.hpp); a handoff is one
 // userspace register switch — no mutex, no condition variable, no kernel.
+// Released stacks are reused warm, and a bounded set of them outlives the
+// engine in a per-thread cache, so back-to-back engines on one thread skip
+// mapping and first-touch faults.
 // The switch is annotated for AddressSanitizer and ThreadSanitizer, so
 // sanitizer builds run the same single execution path (DESIGN.md §9).
 //
@@ -71,6 +74,7 @@ struct EngineOptions {
   std::size_t max_locations = 4096;
   /// Fiber stack size per location (rounded up to whole pages).  Location
   /// bodies in this repo are shallow; raise it for deep client recursion.
+  /// Below 16 KiB the Engine constructor throws UsageError.
   std::size_t fiber_stack_bytes = 256 * 1024;
 
   // --- supervision budgets (all zero = unlimited) -----------------------

@@ -219,7 +219,7 @@ Fiber::Fiber(char* stack_base, std::size_t stack_bytes,
              std::function<void()> entry)
     : entry_(std::move(entry)), stack_(stack_base),
       stack_bytes_(stack_bytes) {
-  assert(stack_bytes_ >= 16 * 1024 && "fiber stack too small");
+  assert(stack_bytes_ >= kMinFiberStackBytes && "fiber stack too small");
   make_context();
 #if defined(ATS_FIBER_TSAN)
   tsan_fiber_ = __tsan_create_fiber(0);

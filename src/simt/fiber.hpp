@@ -65,6 +65,11 @@
 
 namespace ats::simt {
 
+/// Smallest stack a fiber accepts.  An overflow of any pooled slab but a
+/// chunk's lowest lands silently in its neighbour (only the lowest has a
+/// guard page), so tiny stacks are refused rather than risked.
+inline constexpr std::size_t kMinFiberStackBytes = 16 * 1024;
+
 class Fiber {
  public:
   /// Creates a fiber that will run `entry` on the caller-owned stack

@@ -1,7 +1,9 @@
 #include "simt/stack_pool.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <new>
+#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define ATS_SIMT_HAS_MMAP_STACKS 1
@@ -24,75 +26,117 @@ std::size_t page_size() {
 }
 }  // namespace
 
+/// Chunks a finished pool left behind on this thread, keyed by slab size.
+struct StackPool::Cache {
+  std::size_t slab_bytes = 0;
+  Slabs slabs;
+
+  ~Cache() { clear(); }
+  void clear() {
+    for (const Chunk& c : slabs.chunks) unmap(c);
+    slabs = Slabs{};
+  }
+};
+
+StackPool::Cache& StackPool::thread_cache() {
+  thread_local Cache cache;
+  return cache;
+}
+
+void StackPool::unmap(const Chunk& c) {
+#if ATS_SIMT_HAS_MMAP_STACKS
+  ::munmap(c.base, c.bytes);
+#else
+  std::free(c.base);
+#endif
+}
+
 StackPool::StackPool(std::size_t slab_bytes) : page_bytes_(page_size()) {
   // Round the slab up to whole pages so MADV_DONTNEED on release covers it
   // exactly and every slab base is page-aligned.
   slab_bytes_ = ((slab_bytes + page_bytes_ - 1) / page_bytes_) * page_bytes_;
   if (slab_bytes_ == 0) slab_bytes_ = page_bytes_;
+  Cache& cache = thread_cache();
+  if (cache.slab_bytes == slab_bytes_) {
+    slabs_ = std::exchange(cache.slabs, Slabs{});
+    cache.slab_bytes = 0;
+  }
 }
 
 StackPool::~StackPool() {
-#if ATS_SIMT_HAS_MMAP_STACKS
-  for (const Chunk& c : chunks_) {
-    if (c.base != nullptr) ::munmap(c.base, c.bytes);
+  // Keep the first kCachedChunks chunks and the released slabs inside them;
+  // a slab still borrowed (none, when the owning engine has shut down) is
+  // on neither list, so it is never handed out twice.
+  const std::size_t kept = std::min(slabs_.chunks.size(), kCachedChunks);
+  for (std::size_t i = kept; i < slabs_.chunks.size(); ++i) {
+    unmap(slabs_.chunks[i]);
   }
-#else
-  for (const Chunk& c : chunks_) std::free(c.base);
-#endif
+  slabs_.chunks.resize(kept);
+  const auto dropped = [this](char* slab) {
+    for (const Chunk& c : slabs_.chunks) {
+      if (slab >= c.base && slab < c.base + c.bytes) return false;
+    }
+    return true;
+  };
+  std::erase_if(slabs_.warm, dropped);
+  std::erase_if(slabs_.cold, dropped);
+  Cache& cache = thread_cache();
+  cache.clear();
+  cache.slab_bytes = slab_bytes_;
+  cache.slabs = std::move(slabs_);
 }
 
 char* StackPool::acquire() {
-  char* slab = nullptr;
-  if (!free_.empty()) {
-    slab = free_.back();
-    free_.pop_back();
-  } else {
-    if (chunks_.empty() || chunks_.back().used == kSlabsPerChunk) {
-      Chunk c;
-#if ATS_SIMT_HAS_MMAP_STACKS
-      c.bytes = page_bytes_ + kSlabsPerChunk * slab_bytes_;
-      void* addr =
-          ::mmap(nullptr, c.bytes, PROT_READ | PROT_WRITE,
-                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-      if (addr == MAP_FAILED) throw std::bad_alloc();
-      c.base = static_cast<char*>(addr);
-      // Guard page below the chunk's first slab (see the header comment).
-      ::mprotect(c.base, page_bytes_, PROT_NONE);
-#else
-      c.bytes = kSlabsPerChunk * slab_bytes_;
-      c.base = static_cast<char*>(std::malloc(c.bytes));
-      if (c.base == nullptr) throw std::bad_alloc();
-#endif
-      chunks_.push_back(c);
-    }
-    Chunk& c = chunks_.back();
-#if ATS_SIMT_HAS_MMAP_STACKS
-    slab = c.base + page_bytes_ + c.used * slab_bytes_;
-#else
-    slab = c.base + c.used * slab_bytes_;
-#endif
-    ++c.used;
+  std::vector<char*>& spare = slabs_.warm.empty() ? slabs_.cold : slabs_.warm;
+  if (!spare.empty()) {
+    char* slab = spare.back();
+    spare.pop_back();
+    return slab;
   }
-  ++live_;
-  if (live_ > peak_live_) peak_live_ = live_;
+  std::vector<Chunk>& chunks = slabs_.chunks;
+  if (chunks.empty() || chunks.back().used == kSlabsPerChunk) {
+    Chunk c;
+#if ATS_SIMT_HAS_MMAP_STACKS
+    c.bytes = page_bytes_ + kSlabsPerChunk * slab_bytes_;
+    void* addr = ::mmap(nullptr, c.bytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (addr == MAP_FAILED) throw std::bad_alloc();
+    c.base = static_cast<char*>(addr);
+    // Guard page below the chunk's first slab (see the header comment);
+    // refuse the chunk rather than run without it.
+    if (::mprotect(c.base, page_bytes_, PROT_NONE) != 0) {
+      ::munmap(c.base, c.bytes);
+      throw std::bad_alloc();
+    }
+#else
+    c.bytes = kSlabsPerChunk * slab_bytes_;
+    c.base = static_cast<char*>(std::malloc(c.bytes));
+    if (c.base == nullptr) throw std::bad_alloc();
+#endif
+    chunks.push_back(c);
+  }
+  Chunk& c = chunks.back();
+#if ATS_SIMT_HAS_MMAP_STACKS
+  char* slab = c.base + page_bytes_ + c.used * slab_bytes_;
+#else
+  char* slab = c.base + c.used * slab_bytes_;
+#endif
+  ++c.used;
   return slab;
 }
 
 void StackPool::release(char* base) {
   if (base == nullptr) return;
+  if (slabs_.warm.size() < kWarmSlabs) {
+    slabs_.warm.push_back(base);
+    return;
+  }
 #if ATS_SIMT_HAS_MMAP_STACKS
   // Hand the committed pages back; the address range stays reserved for
   // reuse, so recycling a slab re-faults zero pages only as frames grow.
   ::madvise(base, slab_bytes_, MADV_DONTNEED);
 #endif
-  free_.push_back(base);
-  --live_;
-}
-
-std::size_t StackPool::reserved_bytes() const {
-  std::size_t n = 0;
-  for (const Chunk& c : chunks_) n += c.bytes;
-  return n;
+  slabs_.cold.push_back(base);
 }
 
 }  // namespace ats::simt::detail

@@ -12,9 +12,21 @@
 //    count grows by ~2 per *chunk*, not per slab (vm.max_map_count is
 //    ~65530 by default; per-slab mappings or guard pages would exhaust it
 //    long before 100k locations).
-//  * Recycled — a slab released on location exit goes to a free list after
-//    MADV_DONTNEED returns its committed pages to the kernel, so peak
-//    residency tracks *live* locations, not spawned ones.
+//  * Recycled, warm first — a slab released on location exit goes on a
+//    LIFO warm list with no syscall, so the next location reuses pages
+//    that are already faulted in.  Only a release that finds the warm list
+//    at kWarmSlabs pays MADV_DONTNEED and goes on the cold list, so peak
+//    residency tracks *live* locations plus a fixed warm set, not spawned
+//    ones.  A released slab of the simulator's own locations holds one
+//    resident 4 KiB page (a sweep run's smaps show 256 KiB resident per
+//    64-slab chunk), so the warm set costs about 0.5 MiB per thread.
+//  * Kept per thread — the destructor hands up to kCachedChunks chunks,
+//    with their warm and cold slabs, to a thread_local cache, and the next
+//    pool built on that thread with the same slab size adopts them: the
+//    back-to-back engines of one sweep worker skip mmap, first touch and
+//    munmap.  Other chunks are unmapped; the cache unmaps what it holds
+//    when its thread exits.  A pool that finds the cache empty or holding
+//    another slab size maps chunks as usual.
 //  * Guarded — the page below each chunk's first slab is PROT_NONE, so the
 //    deepest slab of every chunk faults loudly on overflow (heap-allocated
 //    stacks had no guard at all; per-slab guards are a VMA each).
@@ -31,46 +43,56 @@ namespace ats::simt::detail {
 class StackPool {
  public:
   /// All slabs have the same size; `slab_bytes` is rounded up to a whole
-  /// number of pages.
+  /// number of pages.  Adopts the thread's cached chunks when they have
+  /// that slab size.
   explicit StackPool(std::size_t slab_bytes);
   ~StackPool();
 
   StackPool(const StackPool&) = delete;
   StackPool& operator=(const StackPool&) = delete;
 
-  /// Returns a slab of slab_bytes(); recycles a released slab when one is
-  /// free, otherwise carves the next slab from the current chunk (mapping
-  /// a fresh chunk when exhausted).  Recycled slabs are *not* zeroed —
-  /// fiber initial frames overwrite everything they read.
+  /// Returns a slab of slab_bytes(): a warm released slab when one is
+  /// free, else a cold one, else the next slab of the current chunk
+  /// (mapping a fresh chunk when exhausted).  Recycled slabs are *not*
+  /// zeroed — fiber initial frames overwrite everything they read.
   char* acquire();
 
-  /// Returns `base` (a pointer obtained from acquire) to the free list and
-  /// releases its committed pages back to the kernel.
+  /// Returns `base` (a pointer obtained from acquire) to the warm list, or,
+  /// when that is full, releases its committed pages and files it cold.
   void release(char* base);
 
   std::size_t slab_bytes() const { return slab_bytes_; }
-  /// Slabs currently acquired and not released.
-  std::size_t live_slabs() const { return live_; }
-  /// High-water mark of live_slabs().
-  std::size_t peak_live_slabs() const { return peak_live_; }
-  /// Bytes of address space reserved across all chunks (not residency).
-  std::size_t reserved_bytes() const;
 
  private:
+  static constexpr std::size_t kSlabsPerChunk = 64;
+  /// Chunks a pool hands to its thread's cache on destruction.  More chunks
+  /// cover more engines without a fresh mmap but raise peak RSS; DESIGN.md
+  /// §12 has the measurements behind 2.
+  static constexpr std::size_t kCachedChunks = 2;
+  /// Released slabs kept resident before a release pays MADV_DONTNEED.
+  static constexpr std::size_t kWarmSlabs = kCachedChunks * kSlabsPerChunk;
+
   struct Chunk {
     char* base = nullptr;   ///< mapping base (guard page lives here)
     std::size_t bytes = 0;  ///< full mapping length
     std::size_t used = 0;   ///< slabs carved so far
   };
-
-  static constexpr std::size_t kSlabsPerChunk = 64;
+  /// Everything a pool owns besides its slab size; what the thread's cache
+  /// keeps between pools.
+  struct Slabs {
+    std::vector<Chunk> chunks;
+    std::vector<char*> warm;  ///< released, pages still committed (LIFO)
+    std::vector<char*> cold;  ///< released after MADV_DONTNEED
+  };
+  struct Cache;
+  /// The calling thread's cache.  It is destroyed at thread exit, so no
+  /// StackPool may have static or thread storage duration.
+  static Cache& thread_cache();
+  static void unmap(const Chunk& c);
 
   std::size_t slab_bytes_;
   std::size_t page_bytes_;
-  std::vector<Chunk> chunks_;
-  std::vector<char*> free_;
-  std::size_t live_ = 0;
-  std::size_t peak_live_ = 0;
+  Slabs slabs_;
 };
 
 }  // namespace ats::simt::detail

@@ -374,8 +374,9 @@ int descend(Context& c, int depth, bool park) {
 }
 
 TEST(Engine, RecycledSlabAfterShutdownUnwindIsClean) {
-  // Every engine maps its stacks afresh, and the new mapping usually lands
-  // where the previous engine's was.  A shutdown unwind must leave those
+  // A finished engine hands its stack chunks to the thread's cache, and
+  // the next engine on the thread runs its locations on the very slabs
+  // the previous one released.  A shutdown unwind must leave those
   // stacks as clean as a normal return does: under AddressSanitizer,
   // frames thrown through on an unannotated fiber switch keep their
   // poisoned shadow, and the next engine's locations trip over it.

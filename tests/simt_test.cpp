@@ -1,8 +1,10 @@
 // Unit tests for the simt discrete-event engine: scheduling order,
 // determinism, block/wake time propagation, fork/join, deadlock detection,
-// error propagation.
+// error propagation, and fiber stack reuse within and across engines.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -342,6 +344,142 @@ TEST(Engine, ManyLocations) {
   }
   eng.run();
   EXPECT_EQ(eng.location_count(), static_cast<std::size_t>(n));
+}
+
+// --- fiber stack reuse ------------------------------------------------------
+
+// Frame address of a location body's first frame.  (A local's address
+// would move to ASan's heap-allocated fake stack when use-after-return
+// detection is on; the frame itself stays on the fiber stack.)
+std::uintptr_t first_frame_address() {
+  std::uintptr_t addr = 0;
+  Engine eng;
+  eng.add_location("probe", [&addr](Context& c) {
+    addr = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+    c.advance(VDur::micros(1));
+  });
+  eng.run();
+  return addr;
+}
+
+TEST(StackReuse, BackToBackEnginesShareASlab) {
+  const std::uintptr_t first = first_frame_address();
+  // A live engine with another stack size sits between the two: it maps
+  // its own chunk (which would take the address range a freshly unmapped
+  // chunk left behind) and must not evict the chunks kept for 256 KiB.
+  EngineOptions small;
+  small.fiber_stack_bytes = 64 * 1024;
+  Engine other(small);
+  other.add_location("other", [](Context& c) { c.advance(VDur::micros(1)); });
+  other.run();
+  EXPECT_EQ(first_frame_address(), first);
+}
+
+// Locations all live at once, each finishing at its own time; returns the
+// end times.
+std::vector<VTime> staggered_end_times(int n, EngineOptions opt = {}) {
+  Engine eng(opt);
+  for (int i = 0; i < n; ++i) {
+    eng.add_location("loc", [i](Context& c) {
+      c.advance(VDur::micros(3 + i % 17));
+      c.advance(VDur::micros(i));
+    });
+  }
+  eng.run();
+  std::vector<VTime> ends;
+  for (int i = 0; i < n; ++i) ends.push_back(eng.end_time_of(i));
+  return ends;
+}
+
+TEST(StackReuse, EngineAboveTheCacheCapThenASmallOne) {
+  for (const int n : {1000, 8}) {
+    const std::vector<VTime> ends = staggered_end_times(n);
+    ASSERT_EQ(ends.size(), static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(ends[i], VTime::zero() + VDur::micros(3 + i % 17 + i))
+          << "n=" << n << " location " << i;
+    }
+  }
+}
+
+TEST(StackReuse, CachedSlabsAreKeyedBySlabSize) {
+  // Two 64 KiB stacks, live together, leave two adjacent 64 KiB slabs in
+  // the cache.  Were a 256 KiB engine to adopt them, its two locations'
+  // stacks would overlap and overwrite each other's patterns.  `holder`
+  // takes whatever the cache held before, so the 64 KiB engine carves
+  // its slabs from a fresh chunk.
+  Engine holder;
+  EngineOptions small;
+  small.fiber_stack_bytes = 64 * 1024;
+  EXPECT_EQ(staggered_end_times(2, small).size(), 2u);
+
+  Engine eng;
+  int intact = 0;
+  for (int i = 0; i < 2; ++i) {
+    eng.add_location("deep", [i, &intact](Context& c) {
+      volatile char buf[200 * 1024];
+      for (std::size_t k = 0; k < sizeof buf; k += 512) {
+        buf[k] = static_cast<char>(i + 1);
+      }
+      c.advance(VDur::micros(1 + i));  // the other location runs here
+      bool ok = true;
+      for (std::size_t k = 0; k < sizeof buf; k += 512) {
+        ok = ok && buf[k] == static_cast<char>(i + 1);
+      }
+      intact += ok;
+    });
+  }
+  eng.run();
+  EXPECT_EQ(intact, 2);
+  EXPECT_EQ(eng.end_time_of(0), VTime::zero() + VDur::micros(1));
+  EXPECT_EQ(eng.end_time_of(1), VTime::zero() + VDur::micros(2));
+}
+
+// An engine whose live location count rises and falls: a parent spawns a
+// wave of children per round and joins them.
+std::vector<VTime> waves(int seed) {
+  Engine eng;
+  eng.add_location("parent", [seed](Context& c) {
+    for (int round = 0; round < 3; ++round) {
+      std::vector<std::pair<std::string, LocationBody>> kids;
+      for (int k = 0; k < 20 + 30 * ((seed + round) % 3); ++k) {
+        kids.emplace_back("kid", [k, seed](Context& cc) {
+          cc.advance(VDur::micros(1 + (k * 7 + seed) % 13));
+        });
+      }
+      c.join(c.spawn(kids));
+    }
+  });
+  eng.run();
+  std::vector<VTime> ends;
+  for (std::size_t i = 0; i < eng.location_count(); ++i) {
+    ends.push_back(eng.end_time_of(static_cast<LocationId>(i)));
+  }
+  return ends;
+}
+
+TEST(StackReuse, ThreadsWithTheirOwnCachesMatchASerialRun) {
+  constexpr int kThreads = 4;
+  constexpr int kEngines = 50;
+  std::vector<std::vector<VTime>> serial;
+  for (int e = 0; e < kEngines; ++e) serial.push_back(waves(e));
+  std::vector<std::vector<std::vector<VTime>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &got] {
+      for (int e = 0; e < kEngines; ++e) got[t].push_back(waves(e));
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], serial) << "thread " << t;
+}
+
+TEST(StackReuse, StackBelowTheMinimumThrows) {
+  EngineOptions opt;
+  opt.fiber_stack_bytes = 4096;
+  EXPECT_THROW(Engine{opt}, UsageError);
+  opt.fiber_stack_bytes = 16 * 1024;
+  EXPECT_EQ(staggered_end_times(3, opt).size(), 3u);
 }
 
 }  // namespace
