@@ -136,6 +136,56 @@ BENCHMARK(BM_RootedCollectiveRate)
     ->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
+// The N×N data collectives at the sweep grid's largest shape: np ranks,
+// `count` doubles per block, as in imbalance_at_mpi_alltoall and
+// imbalance_at_mpi_reduce_scatter.  Items are collective calls.
+constexpr int kNxNRounds = 4;
+
+void BM_AlltoallRate(benchmark::State& state) {
+  const int np = static_cast<int>(state.range(0));
+  const int count = static_cast<int>(state.range(1));
+  for (auto _ : state) {
+    mpi::MpiRunOptions opt;
+    opt.nprocs = np;
+    mpi::run_mpi(opt, [&](mpi::Proc& p) {
+      std::vector<double> s(static_cast<std::size_t>(count * np), 1.0);
+      std::vector<double> r(s.size());
+      for (int i = 0; i < kNxNRounds; ++i) {
+        p.alltoall(s.data(), count, r.data(), count, mpi::Datatype::kDouble,
+                   p.comm_world());
+      }
+    });
+  }
+  state.SetItemsProcessed(state.iterations() * kNxNRounds);
+}
+BENCHMARK(BM_AlltoallRate)
+    ->ArgNames({"np", "count"})
+    ->Args({64, 256})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ReduceScatterRate(benchmark::State& state) {
+  const int np = static_cast<int>(state.range(0));
+  const int count = static_cast<int>(state.range(1));
+  for (auto _ : state) {
+    mpi::MpiRunOptions opt;
+    opt.nprocs = np;
+    mpi::run_mpi(opt, [&](mpi::Proc& p) {
+      std::vector<double> s(static_cast<std::size_t>(count * np), 1.0);
+      std::vector<double> r(static_cast<std::size_t>(count));
+      for (int i = 0; i < kNxNRounds; ++i) {
+        p.reduce_scatter_block(s.data(), r.data(), count,
+                               mpi::Datatype::kDouble, mpi::ReduceOp::kSum,
+                               p.comm_world());
+      }
+    });
+  }
+  state.SetItemsProcessed(state.iterations() * kNxNRounds);
+}
+BENCHMARK(BM_ReduceScatterRate)
+    ->ArgNames({"np", "count"})
+    ->Args({64, 256})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_DistributionEval(benchmark::State& state) {
   const core::Distribution d = core::Distribution::linear(0.01, 0.05);
   int me = 0;

@@ -3,8 +3,7 @@
 // Each collective instance is identified by (communicator, per-rank call
 // sequence number) — MPI requires every member to issue the communicator's
 // collectives in the same order, which the runtime verifies.  Every
-// operation stages its data in the instance and runs one of three
-// skeletons, which alone decide its timing:
+// operation runs one of three skeletons, which alone decide its timing:
 //
 //  * all-to-all, coll_all_wait (barrier, allreduce, alltoall, allgather,
 //    scan, reduce_scatter_block, split, dup): the last arriver computes
@@ -19,6 +18,10 @@
 //    root; the root leaves at max(all enters) + cost, non-roots at own
 //    enter + the cost of their own contribution — an early root waits for
 //    the last contributor ("Early Reduce"/"Early Gather").
+//
+// All-to-all ops read each member's send buffer in place, as every member
+// stays parked until all outputs are written (DESIGN.md §9); root-sink
+// stages contributions, root-source the root's buffer.
 //
 // One cost per instance: collective_time(p, bytes) of the fixed per-rank
 // size, else of the root's widest slice (root-source) or the largest
@@ -67,15 +70,31 @@ void check_capacity(std::int64_t need, std::int64_t have, const char* what) {
   }
 }
 
-/// Folds every rank's contribution, in rank order, into `acc`: `count`
-/// elements of the instance's datatype under its reduce op.
-void fold_contributions(const detail::CollInstance& ci, void* acc,
-                        int count) {
-  const std::vector<std::byte>& first = ci.ranks.front().contrib;
-  detail::copy_payload(acc, first.data(),
-                       static_cast<std::int64_t>(first.size()));
+/// Lends rank `me`'s buffers to an all-to-all instance.  The last arriver
+/// reads `sdata` in place while it writes every receive buffer, so the two
+/// ranges must not overlap (MPI_IN_PLACE is not offered).
+void lend_buffers(detail::CollInstance& inst, int me, const void* sdata,
+                  std::int64_t sbytes, void* rdata, std::int64_t rbytes) {
+  const auto s = reinterpret_cast<std::uintptr_t>(sdata);
+  const auto r = reinterpret_cast<std::uintptr_t>(rdata);
+  if (sbytes > 0 && rbytes > 0 && s < r + static_cast<std::uintptr_t>(rbytes) &&
+      r < s + static_cast<std::uintptr_t>(sbytes)) {
+    throw MpiError(std::string(trace::to_string(inst.op)) +
+                   ": send and receive buffers overlap");
+  }
+  detail::CollRank& mine = inst.ranks[static_cast<std::size_t>(me)];
+  mine.send = static_cast<const std::byte*>(sdata);
+  mine.out = rdata;
+}
+
+/// Folds `count` elements at byte `offset` of every rank's send buffer, in
+/// rank order, into `acc` under the instance's datatype and reduce op.
+void fold_contributions(const detail::CollInstance& ci, void* acc, int count,
+                        std::int64_t offset) {
+  detail::copy_payload(acc, ci.ranks.front().send + offset,
+                       bytes_of(count, ci.type));
   for (std::size_t r = 1; r < ci.ranks.size(); ++r) {
-    reduce_combine(ci.rop, ci.type, ci.ranks[r].contrib.data(), acc, count);
+    reduce_combine(ci.rop, ci.type, ci.ranks[r].send + offset, acc, count);
   }
 }
 
@@ -241,6 +260,7 @@ void Proc::coll_root_sink(
   detail::CollRank& mine = inst.ranks[static_cast<std::size_t>(me)];
   mine.contrib.assign(static_cast<const std::byte*>(sdata),
                       static_cast<const std::byte*>(sdata) + sbytes);
+  mine.send = mine.contrib.data();
   // The root leaves once the instance is complete, charged for the largest
   // contribution whichever rank completes it.
   auto root_end = [&] {
@@ -425,8 +445,7 @@ void Proc::gatherv_impl(trace::CollOp op, const void* sdata, int scount,
                            std::to_string(sent) + " bytes, root expected " +
                            std::to_string(slot.slice_bytes));
           }
-          detail::copy_payload(out + slot.slice_offset, slot.contrib.data(),
-                               sent);
+          detail::copy_payload(out + slot.slice_offset, slot.send, sent);
         }
       },
       "MPI_Gatherv (root waiting for contributions)");
@@ -450,7 +469,7 @@ void Proc::reduce(const void* sdata, void* rdata, int count, Datatype type,
       comm, inst, sdata, bytes, rdata,
       [count](detail::CollInstance& ci) {
         fold_contributions(
-            ci, ci.ranks[static_cast<std::size_t>(ci.root)].out, count);
+            ci, ci.ranks[static_cast<std::size_t>(ci.root)].out, count, 0);
       },
       "MPI_Reduce (root waiting for contributions)");
   coll_finish(comm, seq, enter_t, is_root ? 0 : bytes, is_root ? bytes : 0,
@@ -467,17 +486,14 @@ void Proc::allreduce(const void* sdata, void* rdata, int count, Datatype type,
       coll_enter(comm, trace::CollOp::kAllreduce, -1, type, bytes, seq, reg,
                  static_cast<std::int32_t>(rop));
   const VTime enter_t = ctx_.now();
-  detail::CollRank& mine = inst.ranks[static_cast<std::size_t>(rank(comm))];
   inst.rop = rop;
-  mine.contrib.assign(static_cast<const std::byte*>(sdata),
-                      static_cast<const std::byte*>(sdata) + bytes);
-  mine.out = rdata;
+  lend_buffers(inst, rank(comm), sdata, bytes, rdata, bytes);
 
   coll_all_wait(comm, inst, [count, bytes](detail::CollInstance& ci) {
-    std::vector<std::byte> acc(static_cast<std::size_t>(bytes));
-    fold_contributions(ci, acc.data(), count);
-    for (const detail::CollRank& slot : ci.ranks) {
-      detail::copy_payload(slot.out, acc.data(), bytes);
+    void* acc = ci.ranks.front().out;
+    fold_contributions(ci, acc, count, 0);
+    for (std::size_t r = 1; r < ci.ranks.size(); ++r) {
+      detail::copy_payload(ci.ranks[r].out, acc, bytes);
     }
   });
   coll_finish(comm, seq, enter_t, bytes, bytes, reg);
@@ -494,17 +510,14 @@ void Proc::alltoall(const void* sdata, int scount, void* rdata, int rcount,
   detail::CollInstance& inst = coll_enter(comm, trace::CollOp::kAlltoall, -1,
                                           type, block * p, seq, reg);
   const VTime enter_t = ctx_.now();
-  detail::CollRank& mine = inst.ranks[static_cast<std::size_t>(rank(comm))];
-  mine.contrib.assign(static_cast<const std::byte*>(sdata),
-                      static_cast<const std::byte*>(sdata) + block * p);
-  mine.out = rdata;
+  lend_buffers(inst, rank(comm), sdata, block * p, rdata, block * p);
 
   coll_all_wait(comm, inst, [block](detail::CollInstance& ci) {
     for (std::size_t i = 0; i < ci.ranks.size(); ++i) {
       auto* out = static_cast<std::byte*>(ci.ranks[i].out);
       for (std::size_t j = 0; j < ci.ranks.size(); ++j) {
         detail::copy_payload(out + block * static_cast<std::int64_t>(j),
-                             ci.ranks[j].contrib.data() +
+                             ci.ranks[j].send +
                                  block * static_cast<std::int64_t>(i),
                              block);
       }
@@ -524,17 +537,14 @@ void Proc::allgather(const void* sdata, int scount, void* rdata, int rcount,
   detail::CollInstance& inst = coll_enter(comm, trace::CollOp::kAllgather, -1,
                                           type, block, seq, reg);
   const VTime enter_t = ctx_.now();
-  detail::CollRank& mine = inst.ranks[static_cast<std::size_t>(rank(comm))];
-  mine.contrib.assign(static_cast<const std::byte*>(sdata),
-                      static_cast<const std::byte*>(sdata) + block);
-  mine.out = rdata;
+  lend_buffers(inst, rank(comm), sdata, block, rdata, block * p);
 
   coll_all_wait(comm, inst, [block](detail::CollInstance& ci) {
     for (const detail::CollRank& dst : ci.ranks) {
       auto* out = static_cast<std::byte*>(dst.out);
       for (std::size_t j = 0; j < ci.ranks.size(); ++j) {
         detail::copy_payload(out + block * static_cast<std::int64_t>(j),
-                             ci.ranks[j].contrib.data(), block);
+                             ci.ranks[j].send, block);
       }
     }
   });
@@ -551,19 +561,16 @@ void Proc::scan(const void* sdata, void* rdata, int count, Datatype type,
       coll_enter(comm, trace::CollOp::kScan, -1, type, bytes, seq, reg,
                  static_cast<std::int32_t>(rop));
   const VTime enter_t = ctx_.now();
-  detail::CollRank& mine = inst.ranks[static_cast<std::size_t>(rank(comm))];
   inst.rop = rop;
-  mine.contrib.assign(static_cast<const std::byte*>(sdata),
-                      static_cast<const std::byte*>(sdata) + bytes);
-  mine.out = rdata;
+  lend_buffers(inst, rank(comm), sdata, bytes, rdata, bytes);
 
   coll_all_wait(comm, inst, [count, bytes](detail::CollInstance& ci) {
-    std::vector<std::byte> acc = ci.ranks.front().contrib;
-    detail::copy_payload(ci.ranks.front().out, acc.data(), bytes);
+    // Rank r's result is rank r - 1's result folded with rank r's buffer.
+    detail::copy_payload(ci.ranks.front().out, ci.ranks.front().send, bytes);
     for (std::size_t r = 1; r < ci.ranks.size(); ++r) {
-      reduce_combine(ci.rop, ci.type, ci.ranks[r].contrib.data(), acc.data(),
+      detail::copy_payload(ci.ranks[r].out, ci.ranks[r - 1].out, bytes);
+      reduce_combine(ci.rop, ci.type, ci.ranks[r].send, ci.ranks[r].out,
                      count);
-      detail::copy_payload(ci.ranks[r].out, acc.data(), bytes);
     }
   });
   coll_finish(comm, seq, enter_t, bytes, bytes, reg);
@@ -580,21 +587,14 @@ void Proc::reduce_scatter_block(const void* sdata, void* rdata, int count,
       coll_enter(comm, trace::CollOp::kReduceScatter, -1, type, block * p,
                  seq, reg, static_cast<std::int32_t>(rop));
   const VTime enter_t = ctx_.now();
-  detail::CollRank& mine = inst.ranks[static_cast<std::size_t>(rank(comm))];
   inst.rop = rop;
-  mine.contrib.assign(static_cast<const std::byte*>(sdata),
-                      static_cast<const std::byte*>(sdata) + block * p);
-  mine.out = rdata;
+  lend_buffers(inst, rank(comm), sdata, block * p, rdata, block);
 
-  coll_all_wait(comm, inst, [count, p, block](detail::CollInstance& ci) {
-    // Full elementwise reduction over all contributions...
-    std::vector<std::byte> acc(static_cast<std::size_t>(block * p));
-    fold_contributions(ci, acc.data(), count * p);
-    // ... then scatter block i to rank i.
+  coll_all_wait(comm, inst, [count, block](detail::CollInstance& ci) {
+    // Block r of every rank's buffer folds straight into rank r's output.
     for (std::size_t r = 0; r < ci.ranks.size(); ++r) {
-      detail::copy_payload(ci.ranks[r].out,
-                           acc.data() + block * static_cast<std::int64_t>(r),
-                           block);
+      fold_contributions(ci, ci.ranks[r].out, count,
+                         block * static_cast<std::int64_t>(r));
     }
   });
   coll_finish(comm, seq, enter_t, block * p, block, reg);

@@ -83,7 +83,10 @@ struct PendingRecv {
 /// One rank's part in a collective instance.
 struct CollRank {
   bool present = false;
-  std::vector<std::byte> contrib;  ///< send buffer staged for the others
+  /// The send buffer every reader uses: the caller's own for all-to-all
+  /// ops (read in place, see coll.cpp), `contrib` for root-sink ops.
+  const std::byte* send = nullptr;
+  std::vector<std::byte> contrib;  ///< root-sink: send buffer staged
   void* out = nullptr;             ///< receive buffer
   std::int64_t out_capacity = 0;   ///< root-source: receive buffer bytes
   /// Rooted ops: this rank's slice of the root's buffer, in bytes, as the

@@ -44,21 +44,20 @@ const char* to_string(ReduceOp op) {
 
 namespace {
 
+// The op is dispatched once per call, so each op is one plain loop that
+// the compiler vectorises; every element folds as inout = op(inout, in).
 template <typename T>
 void combine_typed(ReduceOp op, const T* in, T* inout, int count) {
-  for (int i = 0; i < count; ++i) {
-    switch (op) {
-      case ReduceOp::kSum: inout[i] = static_cast<T>(inout[i] + in[i]); break;
-      case ReduceOp::kProd: inout[i] = static_cast<T>(inout[i] * in[i]); break;
-      case ReduceOp::kMin: inout[i] = std::min(inout[i], in[i]); break;
-      case ReduceOp::kMax: inout[i] = std::max(inout[i], in[i]); break;
-      case ReduceOp::kLand:
-        inout[i] = static_cast<T>((inout[i] != T{}) && (in[i] != T{}) ? 1 : 0);
-        break;
-      case ReduceOp::kLor:
-        inout[i] = static_cast<T>((inout[i] != T{}) || (in[i] != T{}) ? 1 : 0);
-        break;
-    }
+  const auto each = [&](auto f) {
+    for (int i = 0; i < count; ++i) inout[i] = f(inout[i], in[i]);
+  };
+  switch (op) {
+    case ReduceOp::kSum: return each([](T a, T b) -> T { return a + b; });
+    case ReduceOp::kProd: return each([](T a, T b) -> T { return a * b; });
+    case ReduceOp::kMin: return each([](T a, T b) { return std::min(a, b); });
+    case ReduceOp::kMax: return each([](T a, T b) { return std::max(a, b); });
+    case ReduceOp::kLand: return each([](T a, T b) -> T { return a && b; });
+    case ReduceOp::kLor: return each([](T a, T b) -> T { return a || b; });
   }
 }
 

@@ -366,6 +366,112 @@ TEST(CollExtra, ReduceScatterIsNxNShaped) {
   EXPECT_EQ(after[1], VTime::zero() + ms(7));
 }
 
+TEST(CollExtra, OverlappingSendAndReceiveBuffersAreRejected) {
+  // MPI_IN_PLACE is not offered and the all-to-all ops read send buffers in
+  // place, so an aliased call must fail instead of returning wrong data.
+  const int np = 3;
+  EXPECT_THROW(run_mpi(clean_options(np),
+                       [](Proc& p) {
+                         std::vector<std::int32_t> buf(np, p.world_rank());
+                         p.alltoall(buf.data(), 1, buf.data(), 1,
+                                    Datatype::kInt32, p.comm_world());
+                       }),
+               MpiError);
+  EXPECT_THROW(run_mpi(clean_options(np),
+                       [](Proc& p) {
+                         // The receive block is the send buffer's last one.
+                         std::vector<std::int32_t> buf(np, 1);
+                         p.reduce_scatter_block(buf.data(), &buf[np - 1], 1,
+                                                Datatype::kInt32,
+                                                ReduceOp::kSum,
+                                                p.comm_world());
+                       }),
+               MpiError);
+  // Adjacent ranges of one allocation do not overlap.
+  run_mpi(clean_options(np), [](Proc& p) {
+    std::vector<std::int32_t> buf(2 * np, p.world_rank());
+    p.alltoall(buf.data(), 1, buf.data() + np, 1, Datatype::kInt32,
+               p.comm_world());
+    for (int j = 0; j < np; ++j) {
+      EXPECT_EQ(buf[static_cast<std::size_t>(np + j)], j);
+    }
+  });
+}
+
+/// Element i of rank r's send buffer: cycles through -3..3, so every
+/// reduction meets negatives and zeros, and float products stay exact.
+template <typename T>
+T kernel_input(int rank, int i) {
+  return static_cast<T>((rank * 5 + i * 3) % 7 - 3);
+}
+
+template <typename T>
+T scalar_combine(ReduceOp op, T acc, T in) {
+  switch (op) {
+    case ReduceOp::kSum: return static_cast<T>(acc + in);
+    case ReduceOp::kProd: return static_cast<T>(acc * in);
+    case ReduceOp::kMin: return in < acc ? in : acc;
+    case ReduceOp::kMax: return acc < in ? in : acc;
+    case ReduceOp::kLand: return static_cast<T>(acc != 0 && in != 0 ? 1 : 0);
+    case ReduceOp::kLor: return static_cast<T>(acc != 0 || in != 0 ? 1 : 0);
+  }
+  return acc;
+}
+
+/// Element i folded in rank order over ranks 0..last, one element at a time.
+template <typename T>
+T scalar_fold(ReduceOp op, int last, int i) {
+  T acc = kernel_input<T>(0, i);
+  for (int r = 1; r <= last; ++r) {
+    acc = scalar_combine(op, acc, kernel_input<T>(r, i));
+  }
+  return acc;
+}
+
+template <typename T>
+void check_reduction_kernel(Datatype type) {
+  // 37 elements: odd and longer than a vector, so the loop tail runs.
+  const int np = 5, count = 37;
+  const auto n = static_cast<std::size_t>(count);
+  for (const ReduceOp op : {ReduceOp::kSum, ReduceOp::kProd, ReduceOp::kMin,
+                            ReduceOp::kMax, ReduceOp::kLand, ReduceOp::kLor}) {
+    run_mpi(clean_options(np), [&](Proc& p) {
+      const int me = p.world_rank();
+      std::vector<T> in(n * np);
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        in[i] = kernel_input<T>(me, static_cast<int>(i));
+      }
+      std::vector<T> scattered(n), reduced(n), scanned(n);
+      p.reduce_scatter_block(in.data(), scattered.data(), count, type, op,
+                             p.comm_world());
+      p.allreduce(in.data(), reduced.data(), count, type, op,
+                  p.comm_world());
+      p.scan(in.data(), scanned.data(), count, type, op, p.comm_world());
+      std::vector<T> want_scattered(n), want_reduced(n), want_scanned(n);
+      for (int i = 0; i < count; ++i) {
+        const auto k = static_cast<std::size_t>(i);
+        want_scattered[k] = scalar_fold<T>(op, np - 1, me * count + i);
+        want_reduced[k] = scalar_fold<T>(op, np - 1, i);
+        want_scanned[k] = scalar_fold<T>(op, me, i);
+      }
+      const std::string what = std::string(to_string(type)) + " " +
+                               to_string(op) + " rank " + std::to_string(me);
+      EXPECT_EQ(scattered, want_scattered) << "reduce_scatter_block " << what;
+      EXPECT_EQ(reduced, want_reduced) << "allreduce " << what;
+      EXPECT_EQ(scanned, want_scanned) << "scan " << what;
+    });
+  }
+}
+
+TEST(CollExtra, ReductionsMatchScalarFoldForEveryTypeAndOp) {
+  check_reduction_kernel<std::int8_t>(Datatype::kByte);
+  check_reduction_kernel<std::int8_t>(Datatype::kChar);
+  check_reduction_kernel<std::int32_t>(Datatype::kInt32);
+  check_reduction_kernel<std::int64_t>(Datatype::kInt64);
+  check_reduction_kernel<float>(Datatype::kFloat);
+  check_reduction_kernel<double>(Datatype::kDouble);
+}
+
 TEST(CollExtra, DoubleEntryIsCaught) {
   // Two collectives racing on the same sequence number is impossible, but
   // the runtime also guards against one rank entering the same instance
