@@ -242,7 +242,7 @@ int main(int argc, char** argv) {
 
   std::ofstream os(out_path);
   os << "{\n  \"bench\": \"weak_scale\",\n  \"property\": \"late_sender\",\n"
-     << "  \"backend\": \"fiber\",\n  \"naive_stack_bytes\": 262144,\n"
+     << "  \"naive_stack_bytes\": 262144,\n"
      << "  \"points\": [\n";
   for (std::size_t i = 0; i < lines.size(); ++i) {
     os << "    " << lines[i] << (i + 1 < lines.size() ? "," : "") << "\n";

@@ -1,13 +1,60 @@
 #include "common/strutil.hpp"
 
+#include <array>
+#include <bit>
 #include <charconv>
+#include <cmath>
+#include <cstring>
 #include <limits>
 
 namespace ats {
 
 namespace {
 
-/// Appends `v` in printf "%.*f" notation.
+/// "00" to "99", for writing decimal digits two at a time.
+constexpr auto kDigitPairs = [] {
+  std::array<char, 200> t{};
+  for (int i = 0; i < 100; ++i) {
+    t[2 * i] = static_cast<char>('0' + i / 10);
+    t[2 * i + 1] = static_cast<char>('0' + i % 10);
+  }
+  return t;
+}();
+
+/// Appends `seconds` as "%.9f" would; see kExactNsBound for the integer
+/// path's proof.
+void append_seconds(std::string& out, double seconds) {
+  // The range test also rejects NaN before the conversion sees it.
+  if (std::fabs(seconds) < static_cast<double>(kExactNsBound) * 1e-9) {
+    // The nearest integer; how ties round does not matter, since only an
+    // ns that gives back `seconds` bit for bit takes this path.
+    const double scaled = seconds * 1e9;
+    const auto ns =
+        static_cast<std::int64_t>(scaled + std::copysign(0.5, scaled));
+    if (ns < kExactNsBound && ns > -kExactNsBound &&
+        std::bit_cast<std::uint64_t>(static_cast<double>(ns) * 1e-9) ==
+            std::bit_cast<std::uint64_t>(seconds)) {
+      const auto mag = static_cast<std::uint64_t>(ns < 0 ? -ns : ns);
+      char buf[32];
+      char* p = buf;
+      if (ns < 0) *p++ = '-';
+      p = std::to_chars(p, buf + 20, mag / 1000000000).ptr;
+      *p = '.';
+      auto frac = static_cast<std::uint32_t>(mag % 1000000000);
+      p[9] = static_cast<char>('0' + frac % 10);
+      frac /= 10;
+      for (int i = 7; i >= 1; i -= 2, frac /= 100) {
+        std::memcpy(p + i, &kDigitPairs[2 * (frac % 100)], 2);
+      }
+      out.append(buf, p + 10);
+      return;
+    }
+  }
+  append_fixed(out, seconds, 9);
+}
+
+}  // namespace
+
 void append_fixed(std::string& out, double v, int precision) {
   // std::to_chars in fixed notation is specified to match "%.*f"; printf
   // reads a negative precision as the default of 6.
@@ -29,8 +76,6 @@ void append_fixed(std::string& out, double v, int precision) {
       std::to_chars(buf, buf + size, v, std::chars_format::fixed, precision);
   out.append(buf, r.ptr);
 }
-
-}  // namespace
 
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
@@ -54,14 +99,26 @@ std::vector<std::string> split(std::string_view s, char sep) {
 }
 
 std::string pad_right(std::string_view s, std::size_t width) {
-  std::string out(s.substr(0, width));
-  out.resize(width, ' ');
+  std::string out;
+  append_pad_right(out, s, width);
   return out;
 }
 
 std::string pad_left(std::string_view s, std::size_t width) {
-  if (s.size() >= width) return std::string(s);
-  return std::string(width - s.size(), ' ') + std::string(s);
+  std::string out(s);
+  right_align(out, 0, width);
+  return out;
+}
+
+void append_pad_right(std::string& out, std::string_view s,
+                      std::size_t width) {
+  const std::string_view kept = s.substr(0, width);
+  out.append(kept).append(width - kept.size(), ' ');
+}
+
+void right_align(std::string& out, std::size_t from, std::size_t width) {
+  const std::size_t len = out.size() - from;
+  if (len < width) out.insert(from, width - len, ' ');
 }
 
 std::string fmt_double(double v, int precision) {
@@ -82,7 +139,7 @@ void append_severity_row(std::string& out, std::string_view property,
                          double seconds) {
   out.append(property).append(1, ',').append(call_path).append(1, ',');
   out.append(location).append(1, ',');
-  append_fixed(out, seconds, 9);
+  append_seconds(out, seconds);
   out += '\n';
 }
 

@@ -1,6 +1,7 @@
 // Small string helpers used by the report/gen/diff layers.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,6 +20,16 @@ std::string pad_right(std::string_view s, std::size_t width);
 /// Pads `s` on the left to at least `width` characters.
 std::string pad_left(std::string_view s, std::size_t width);
 
+/// Appends pad_right(s, width) without the temporary.
+void append_pad_right(std::string& out, std::string_view s, std::size_t width);
+
+/// Right-aligns what was appended to `out` since offset `from` in at least
+/// `width` columns, as pad_left would.
+void right_align(std::string& out, std::size_t from, std::size_t width);
+
+/// Appends `v` in printf "%.*f" notation (byte for byte, at any magnitude).
+void append_fixed(std::string& out, double v, int precision);
+
 /// printf-style double with fixed precision ("%.*f" byte for byte, at any
 /// magnitude).
 std::string fmt_double(double v, int precision = 3);
@@ -27,13 +38,23 @@ std::string fmt_double(double v, int precision = 3);
 std::string fmt_percent(double frac, int precision = 1);
 
 /// The severity CSV schema (docs/DIFF.md): this header line, then one
-/// append_severity_row per cell in SeverityCube::for_each order.  Both
-/// report::severity_csv and diff::Snapshot::severity_csv write it through
-/// these two, so their bytes cannot drift apart.
+/// append_severity_row per cell in SeverityCube::for_each order.  Its one
+/// writer is diff::Snapshot::severity_csv (report::severity_csv goes
+/// through it).
 inline constexpr std::string_view kSeverityCsvHeader =
     "property,call_path,location,severity_sec";
 
-/// Appends "property,call_path,location,<seconds to 9 decimals>\n".
+/// Seconds that are a whole number of nanoseconds print from that integer
+/// when |ns| is below this bound.  v = ns * 1e-9 carries a relative error
+/// under 1.6 * 2^-53 (the double 1e-9 is off by 0.56 ulp, the product
+/// rounds once), so below 2^51 ns v is within 0.4 ns of ns / 10^9, and
+/// "%.9f" of v prints exactly the digits of ns.
+inline constexpr std::int64_t kExactNsBound = std::int64_t{1} << 51;
+
+/// Appends "property,call_path,location,<seconds to 9 decimals>\n".  The
+/// seconds are "%.9f" byte for byte: from integer nanoseconds when the
+/// nearest integer ns to seconds * 1e9 gives back `seconds` bit for bit as
+/// ns * 1e-9 and |ns| < kExactNsBound, through append_fixed otherwise.
 void append_severity_row(std::string& out, std::string_view property,
                          std::string_view call_path, std::string_view location,
                          double seconds);

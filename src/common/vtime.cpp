@@ -1,8 +1,10 @@
 #include "common/vtime.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
+
+#include "common/strutil.hpp"
 
 namespace ats {
 
@@ -27,24 +29,38 @@ double VDur::operator/(VDur o) const {
 
 namespace {
 
-std::string format_ns(std::int64_t ns) {
-  char buf[64];
+void append_ns(std::string& out, std::int64_t ns) {
   const double a = std::abs(static_cast<double>(ns));
   if (a < 1e3) {
-    std::snprintf(buf, sizeof buf, "%lld ns", static_cast<long long>(ns));
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, ns).ptr);
+    out += " ns";
   } else if (a < 1e6) {
-    std::snprintf(buf, sizeof buf, "%.2f us", static_cast<double>(ns) / 1e3);
+    append_fixed(out, static_cast<double>(ns) / 1e3, 2);
+    out += " us";
   } else if (a < 1e9) {
-    std::snprintf(buf, sizeof buf, "%.2f ms", static_cast<double>(ns) / 1e6);
+    append_fixed(out, static_cast<double>(ns) / 1e6, 2);
+    out += " ms";
   } else {
-    std::snprintf(buf, sizeof buf, "%.3f s", static_cast<double>(ns) / 1e9);
+    append_fixed(out, static_cast<double>(ns) / 1e9, 3);
+    out += " s";
   }
-  return buf;
 }
 
 }  // namespace
 
-std::string VDur::str() const { return format_ns(ns_); }
-std::string VTime::str() const { return format_ns(ns_); }
+void VDur::append_to(std::string& out) const { append_ns(out, ns_); }
+
+std::string VDur::str() const {
+  std::string out;
+  append_ns(out, ns_);
+  return out;
+}
+
+std::string VTime::str() const {
+  std::string out;
+  append_ns(out, ns_);
+  return out;
+}
 
 }  // namespace ats

@@ -49,6 +49,8 @@ class VDur {
 
   /// Human-readable rendering with adaptive unit ("1.25 ms", "3.4 s", ...).
   std::string str() const;
+  /// Appends str()'s text to `out`.
+  void append_to(std::string& out) const;
 
  private:
   std::int64_t ns_ = 0;

@@ -88,13 +88,15 @@ void lend_buffers(detail::CollInstance& inst, int me, const void* sdata,
 }
 
 /// Folds `count` elements at byte `offset` of every rank's send buffer, in
-/// rank order, into `acc` under the instance's datatype and reduce op.
+/// rank order, into `acc` under the instance's datatype and rank 0's reduce
+/// op (a mismatch must not make the result depend on arrival order).
 void fold_contributions(const detail::CollInstance& ci, void* acc, int count,
                         std::int64_t offset) {
+  const ReduceOp rop = ci.ranks.front().rop;
   detail::copy_payload(acc, ci.ranks.front().send + offset,
                        bytes_of(count, ci.type));
   for (std::size_t r = 1; r < ci.ranks.size(); ++r) {
-    reduce_combine(ci.rop, ci.type, ci.ranks[r].send + offset, acc, count);
+    reduce_combine(rop, ci.type, ci.ranks[r].send + offset, acc, count);
   }
 }
 
@@ -184,6 +186,7 @@ detail::CollInstance& Proc::coll_enter(Comm& comm, trace::CollOp op,
                    " entered collective #" + std::to_string(seq) + " twice");
   }
   mine.present = true;
+  if (rop != trace::kNone) mine.rop = static_cast<ReduceOp>(rop);
   inst.max_enter = later(inst.max_enter, ctx_.now());
   ++inst.arrived;
   if (root >= 0 && me == root) {
@@ -464,7 +467,6 @@ void Proc::reduce(const void* sdata, void* rdata, int count, Datatype type,
       coll_enter(comm, trace::CollOp::kReduce, root, type, bytes, seq, reg,
                  static_cast<std::int32_t>(rop));
   const VTime enter_t = ctx_.now();
-  inst.rop = rop;
   coll_root_sink(
       comm, inst, sdata, bytes, rdata,
       [count](detail::CollInstance& ci) {
@@ -486,7 +488,6 @@ void Proc::allreduce(const void* sdata, void* rdata, int count, Datatype type,
       coll_enter(comm, trace::CollOp::kAllreduce, -1, type, bytes, seq, reg,
                  static_cast<std::int32_t>(rop));
   const VTime enter_t = ctx_.now();
-  inst.rop = rop;
   lend_buffers(inst, rank(comm), sdata, bytes, rdata, bytes);
 
   coll_all_wait(comm, inst, [count, bytes](detail::CollInstance& ci) {
@@ -561,7 +562,6 @@ void Proc::scan(const void* sdata, void* rdata, int count, Datatype type,
       coll_enter(comm, trace::CollOp::kScan, -1, type, bytes, seq, reg,
                  static_cast<std::int32_t>(rop));
   const VTime enter_t = ctx_.now();
-  inst.rop = rop;
   lend_buffers(inst, rank(comm), sdata, bytes, rdata, bytes);
 
   coll_all_wait(comm, inst, [count, bytes](detail::CollInstance& ci) {
@@ -569,8 +569,8 @@ void Proc::scan(const void* sdata, void* rdata, int count, Datatype type,
     detail::copy_payload(ci.ranks.front().out, ci.ranks.front().send, bytes);
     for (std::size_t r = 1; r < ci.ranks.size(); ++r) {
       detail::copy_payload(ci.ranks[r].out, ci.ranks[r - 1].out, bytes);
-      reduce_combine(ci.rop, ci.type, ci.ranks[r].send, ci.ranks[r].out,
-                     count);
+      reduce_combine(ci.ranks.front().rop, ci.type, ci.ranks[r].send,
+                     ci.ranks[r].out, count);
     }
   });
   coll_finish(comm, seq, enter_t, bytes, bytes, reg);
@@ -587,7 +587,6 @@ void Proc::reduce_scatter_block(const void* sdata, void* rdata, int count,
       coll_enter(comm, trace::CollOp::kReduceScatter, -1, type, block * p,
                  seq, reg, static_cast<std::int32_t>(rop));
   const VTime enter_t = ctx_.now();
-  inst.rop = rop;
   lend_buffers(inst, rank(comm), sdata, block * p, rdata, block);
 
   coll_all_wait(comm, inst, [count, block](detail::CollInstance& ci) {

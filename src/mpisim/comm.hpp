@@ -83,6 +83,8 @@ struct PendingRecv {
 /// One rank's part in a collective instance.
 struct CollRank {
   bool present = false;
+  /// Reducing ops: this rank's reduce op.  Rank 0's applies to all.
+  ReduceOp rop = ReduceOp::kSum;
   /// The send buffer every reader uses: the caller's own for all-to-all
   /// ops (read in place, see coll.cpp), `contrib` for root-sink ops.
   const std::byte* send = nullptr;
@@ -111,7 +113,6 @@ struct CollInstance {
   /// Root-source ops: the one cost of the instance, staged by the root.
   VDur root_cost;
   Datatype type = Datatype::kByte;
-  ReduceOp rop = ReduceOp::kSum;
   std::int64_t bytes_per_rank = 0;
   std::vector<std::byte> root_data;  ///< root-source: the root's buffer
   std::vector<CollRank> ranks;       ///< indexed by rank

@@ -209,6 +209,79 @@ TEST(StrUtil, FixedFormattingMatchesPrintf) {
   EXPECT_EQ(fmt_double(5e-10, 9), printf_fixed(5e-10, 9));
   EXPECT_EQ(fmt_double(-0.0, 3), "-0.000");
   EXPECT_EQ(fmt_double(0.5, 120), printf_fixed(0.5, 120));
+
+  // Severity seconds print from integer nanoseconds below kExactNsBound.
+  // Sample whole nanoseconds on both sides of the bound up to 2^53, as
+  // VDur::sec() makes them (ns * 1e-9) and as a CSV parse does (ns / 1e9),
+  // their neighbouring doubles, and both signs.
+  const auto seconds_field = [](double v) {
+    std::string row;
+    append_severity_row(row, "p", "c", "l", v);
+    return row.substr(6, row.size() - 7);
+  };
+  const std::int64_t bound = kExactNsBound;
+  std::vector<std::int64_t> ns = {0, 1, 999999999, 1000000000, bound - 2,
+                                  bound - 1, bound, bound + 1,
+                                  std::int64_t{1} << 52,
+                                  (std::int64_t{1} << 53) - 1};
+  for (int i = 0; i < 4000; ++i) {
+    // Uniform over [0, 2^53), then log-uniform so small values show up.
+    ns.push_back(static_cast<std::int64_t>(gen() >> 11));
+    ns.push_back(static_cast<std::int64_t>(gen() >> (11 + gen() % 53)));
+  }
+  for (std::int64_t n : ns) {
+    for (double v : {static_cast<double>(n) * 1e-9,
+                     static_cast<double>(n) / 1e9}) {
+      for (double w : {v, -v, std::nextafter(v, 0.0),
+                       std::nextafter(v, 1e300)}) {
+        ASSERT_EQ(seconds_field(w), printf_fixed(w, 9)) << "ns " << n;
+      }
+    }
+  }
+  for (double v : values) ASSERT_EQ(seconds_field(v), printf_fixed(v, 9));
+  EXPECT_EQ(seconds_field(-0.0), "-0.000000000");
+  EXPECT_EQ(seconds_field(static_cast<double>(bound - 1) * 1e-9),
+            "2251799.813685247");
+}
+
+// VDur::str's adaptive units print what their printf formats print.
+TEST(VDur, StrMatchesPrintfFormats) {
+  std::mt19937_64 gen(7);
+  std::vector<std::int64_t> ns = {0, -1, 999, 1000, 999999, 1000000,
+                                  999999999, 1000000000, -1500000};
+  for (int i = 0; i < 2000; ++i) {
+    ns.push_back(static_cast<std::int64_t>(gen() >> (gen() % 64)));
+  }
+  for (std::int64_t n : ns) {
+    const double a = std::abs(static_cast<double>(n));
+    const double d = static_cast<double>(n);
+    std::string want;
+    if (a < 1e3) {
+      want = std::to_string(n) + " ns";
+    } else if (a < 1e6) {
+      want = printf_fixed(d / 1e3, 2, " us");
+    } else if (a < 1e9) {
+      want = printf_fixed(d / 1e6, 2, " ms");
+    } else {
+      want = printf_fixed(d / 1e9, 3, " s");
+    }
+    ASSERT_EQ(VDur(n).str(), want);
+    std::string appended = "x";
+    VDur(n).append_to(appended);
+    ASSERT_EQ(appended, "x" + want);
+  }
+}
+
+TEST(StrUtil, PaddingAppendsAfterExistingText) {
+  std::string out = ">";
+  append_pad_right(out, "ab", 4);
+  append_pad_right(out, "abcdef", 4);
+  const std::size_t from = out.size();
+  out += "ab";
+  right_align(out, from, 4);
+  out += "abcdef";
+  right_align(out, out.size() - 6, 4);
+  EXPECT_EQ(out, ">ab  abcd  ababcdef");
 }
 
 TEST(StrUtil, SeverityRowIsTheCsvSchema) {

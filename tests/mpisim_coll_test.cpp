@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "mpisim/world.hpp"
@@ -362,6 +363,54 @@ TEST(Coll, ScanPrefixSums) {
     got[static_cast<std::size_t>(p.world_rank())] = out;
   });
   EXPECT_EQ(got, (std::vector<int>{1, 3, 6, 10}));
+}
+
+// A reduce-op mismatch is not checked at run time (the replay checker
+// reports it); the result uses communicator rank 0's op, whichever rank
+// arrives last.  Inputs 2, 3, 4: a sum gives 9, a product 24.
+TEST(Coll, MismatchedReduceOpAppliesRankZerosOpWhateverTheArrivalOrder) {
+  for (const ReduceOp first : {ReduceOp::kSum, ReduceOp::kProd}) {
+    const ReduceOp other =
+        first == ReduceOp::kSum ? ReduceOp::kProd : ReduceOp::kSum;
+    const int total = first == ReduceOp::kSum ? 9 : 24;
+    const std::vector<int> prefix = first == ReduceOp::kSum
+                                        ? std::vector<int>{2, 5, 9}
+                                        : std::vector<int>{2, 6, 24};
+    for (int last = 0; last < 3; ++last) {
+      std::vector<int> all(3, -1), scanned(3, -1), scattered(3, -1);
+      int reduced = -1;
+      run_mpi(clean_options(3), [&](Proc& p) {
+        const int r = p.world_rank();
+        // Rank 0 and, in turn, one other rank use `first`.
+        const ReduceOp op = r == 0 || r == (last + 1) % 3 ? first : other;
+        const int v = r + 2;
+        const std::vector<int> block(3, v);
+        const auto in_turn = [&] {
+          if (r == last) p.sim().advance(ms(5));
+        };
+        in_turn();
+        p.allreduce(&v, &all[static_cast<std::size_t>(r)], 1,
+                    Datatype::kInt32, op, p.comm_world());
+        in_turn();
+        int out = -1;
+        p.reduce(&v, &out, 1, Datatype::kInt32, op, 1, p.comm_world());
+        if (r == 1) reduced = out;
+        in_turn();
+        p.scan(&v, &scanned[static_cast<std::size_t>(r)], 1,
+               Datatype::kInt32, op, p.comm_world());
+        in_turn();
+        p.reduce_scatter_block(block.data(),
+                               &scattered[static_cast<std::size_t>(r)], 1,
+                               Datatype::kInt32, op, p.comm_world());
+      });
+      const std::string ctx = std::string("rank 0 on ") + to_string(first) +
+                              ", last arriver " + std::to_string(last);
+      EXPECT_EQ(all, std::vector<int>(3, total)) << ctx;
+      EXPECT_EQ(reduced, total) << ctx;
+      EXPECT_EQ(scanned, prefix) << ctx;
+      EXPECT_EQ(scattered, std::vector<int>(3, total)) << ctx;
+    }
+  }
 }
 
 TEST(Coll, MismatchedOperationThrows) {
