@@ -257,10 +257,10 @@ struct Key128Hash {
   }
 };
 
-/// Growable open-addressing Key128 -> dense id index, on the pattern of
-/// diff.cpp's CellTable: ids are handed out in first-use order, so per-key
-/// replay state lives in flat vectors indexed by id, and a lookup is a hash
-/// plus a short probe that never allocates a node.
+/// Growable open-addressing Key128 -> dense id index: ids are handed out in
+/// first-use order, so per-key replay state lives in flat vectors indexed
+/// by id, and a lookup is a hash plus a short probe that never allocates a
+/// node.
 class KeyIndex {
  public:
   explicit KeyIndex(std::size_t expected) {
