@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 
+#include "report/cube_view.hpp"
 #include "test_util.hpp"
 
 namespace ats::analyze {
@@ -599,6 +600,194 @@ TEST(AnalyzerEdge, LocationWithNoEventsContributesNothing) {
   // Location 1 is silent.
   const auto result = analyze(t);
   EXPECT_EQ(result.total_time, VDur::nanos(100));
+}
+
+// ---- replay order: each test pins one way a per-location walk could
+// diverge from the global (time, location, recording order) replay.
+
+std::string quality_counters(const DataQuality& q) {
+  return std::to_string(q.events_seen) + " " +
+         std::to_string(q.events_dropped) + " " +
+         std::to_string(q.events_repaired) + " " +
+         std::to_string(q.unbalanced_exits) + " " +
+         std::to_string(q.unmatched_sends) + " " +
+         std::to_string(q.unmatched_recvs) + " " +
+         std::to_string(q.incomplete_collectives) + " " +
+         std::to_string(q.negative_waits_clamped) + " " +
+         std::to_string(q.skewed_messages);
+}
+
+TEST(AnalyzerReplayOrder, NodesAreNumberedAtFirstSightInMergeOrder) {
+  // Location 0 walks main > A before main > B, but location 1 enters B at
+  // t=5, before location 0 enters A at t=10: B is seen first.
+  trace::Trace t = ranks_trace(2);
+  const auto comm = t.add_comm(trace::CommKind::kMpiComm, {0, 1}, "w");
+  const auto main_r = t.regions().intern("main", trace::RegionKind::kUser);
+  const auto a = t.regions().intern("A", trace::RegionKind::kMpiP2P);
+  const auto b = t.regions().intern("B", trace::RegionKind::kMpiP2P);
+  t.enter(0, VTime(0), main_r);
+  t.enter(0, VTime(10), a);
+  t.recv(0, VTime(30), 1, 0, comm, 8);
+  t.exit(0, VTime(30), a);
+  t.enter(0, VTime(40), b);
+  t.recv(0, VTime(60), 1, 1, comm, 8);
+  t.exit(0, VTime(60), b);
+  t.exit(0, VTime(100), main_r);
+  t.enter(1, VTime(0), main_r);
+  t.enter(1, VTime(5), b);
+  t.exit(1, VTime(6), b);
+  t.send(1, VTime(30), 0, 0, comm, 8);
+  t.send(1, VTime(60), 0, 1, comm, 8);
+  t.exit(1, VTime(100), main_r);
+  const auto result = analyze(t);
+  const auto& prof = result.profile;
+  ASSERT_EQ(prof.node_count(), 4u);
+  EXPECT_EQ(prof.node(kRootNode).children, std::vector<NodeId>({1}));
+  EXPECT_EQ(prof.node(1).children, std::vector<NodeId>({2, 3}));
+  EXPECT_EQ(prof.name_of(1, t), "main");
+  EXPECT_EQ(prof.name_of(2, t), "B");
+  EXPECT_EQ(prof.name_of(3, t), "A");
+  // Both receives wait 20 ns: the tie goes to the lower node id, B.
+  EXPECT_EQ(result.cube.node_total(PropertyId::kLateSender, 2),
+            VDur::nanos(20));
+  EXPECT_EQ(result.cube.node_total(PropertyId::kLateSender, 3),
+            VDur::nanos(20));
+  ASSERT_FALSE(result.findings.empty());
+  EXPECT_EQ(result.findings.front().node, 2);
+  const std::string text = report::render_analysis(result, t);
+  const auto at_b = text.find("    main > B ");
+  const auto at_a = text.find("    main > A ");
+  ASSERT_NE(at_b, std::string::npos);
+  ASSERT_NE(at_a, std::string::npos);
+  EXPECT_LT(at_b, at_a);
+  EXPECT_NE(text.find("locations of 'main > B':"), std::string::npos);
+  const std::string profile = report::render_profile(result, t);
+  EXPECT_LT(profile.find("  B "), profile.find("  A "));
+}
+
+TEST(AnalyzerReplayOrder, UnsortedLocationMatchesItsTimeSortedTwin) {
+  // Location 1's events are recorded with its MPI_Send block first; a
+  // stable sort by time restores its nesting.  Equal timestamps keep
+  // their recording order (send before exit at t=40 on location 1).
+  const auto build = [](bool shuffled) {
+    trace::Trace t = ranks_trace(2);
+    const auto comm = t.add_comm(trace::CommKind::kMpiComm, {0, 1}, "w");
+    const auto main_r = t.regions().intern("main", trace::RegionKind::kUser);
+    const auto work = t.regions().intern("w", trace::RegionKind::kWork);
+    const auto send =
+        t.regions().intern("MPI_Send", trace::RegionKind::kMpiP2P);
+    const auto recv =
+        t.regions().intern("MPI_Recv", trace::RegionKind::kMpiP2P);
+    t.enter(0, VTime(0), main_r);
+    t.enter(0, VTime(5), recv);
+    t.recv(0, VTime(40), 1, 0, comm, 8);
+    t.exit(0, VTime(40), recv);
+    t.enter(0, VTime(50), send);
+    t.send(0, VTime(50), 1, 1, comm, 8);
+    t.exit(0, VTime(70), send);
+    t.exit(0, VTime(100), main_r);
+    const auto head = [&] {
+      t.enter(1, VTime(0), main_r);
+      t.enter(1, VTime(10), work);
+      t.exit(1, VTime(20), work);
+    };
+    const auto tail = [&] {
+      t.enter(1, VTime(30), send);
+      t.send(1, VTime(40), 0, 0, comm, 8);
+      t.exit(1, VTime(40), send);
+      t.enter(1, VTime(60), recv);
+      t.recv(1, VTime(70), 0, 1, comm, 8);
+      t.exit(1, VTime(70), recv);
+      t.exit(1, VTime(100), main_r);
+    };
+    if (shuffled) {
+      tail();
+      head();
+    } else {
+      head();
+      tail();
+    }
+    return t;
+  };
+  const trace::Trace sorted = build(false);
+  const trace::Trace shuffled = build(true);
+  ASSERT_EQ(sorted.unsorted_location_count(), 0u);
+  ASSERT_EQ(shuffled.unsorted_location_count(), 1u);
+  const auto a = analyze(sorted);
+  const auto b = analyze(shuffled);
+  EXPECT_EQ(report::severity_csv(a, sorted),
+            report::severity_csv(b, shuffled));
+  EXPECT_EQ(report::render_profile(a, sorted),
+            report::render_profile(b, shuffled));
+  EXPECT_EQ(a.total_time, b.total_time);
+  EXPECT_GT(a.cube.total(PropertyId::kLateSender), VDur::zero());
+  EXPECT_EQ(quality_counters(a.quality), quality_counters(b.quality));
+  EXPECT_EQ(a.quality.unsorted_locations, 0u);
+  EXPECT_EQ(b.quality.unsorted_locations, 1u);
+}
+
+TEST(AnalyzerReplayOrder, EarliestUnbalancedExitWinsAcrossLocations) {
+  // Location 0's bad exit is at t=50, location 1's at t=20: the replay
+  // meets location 1's first although location 0 has the lower id.
+  trace::Trace t = ranks_trace(2);
+  const auto a = t.regions().intern("a", trace::RegionKind::kUser);
+  const auto b = t.regions().intern("b", trace::RegionKind::kUser);
+  const auto c = t.regions().intern("c", trace::RegionKind::kUser);
+  t.enter(0, VTime(0), a);
+  t.enter(0, VTime(10), b);
+  t.exit(0, VTime(50), a);  // b's exit was lost: repaired in lenient mode
+  t.enter(1, VTime(0), a);
+  t.exit(1, VTime(20), c);  // never entered: dropped in lenient mode
+  t.exit(1, VTime(30), a);
+  try {
+    (void)analyze(t);
+    ADD_FAILURE() << "strict analysis accepted unbalanced exits";
+  } catch (const TraceError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "analyzer: unbalanced exit of region 'c' on location 1");
+  }
+  AnalyzerOptions opt;
+  opt.lenient = true;
+  const auto result = analyze(t, opt);
+  EXPECT_EQ(quality_counters(result.quality), "6 1 1 2 0 0 0 0 0");
+  EXPECT_EQ(result.total_time, VDur::nanos(80));
+  const NodeId na = result.profile.node(kRootNode).children.at(0);
+  const NodeId nb = result.profile.node(na).children.at(0);
+  EXPECT_EQ(result.profile.inclusive(na, 0), VDur::nanos(50));
+  EXPECT_EQ(result.profile.inclusive(nb, 0), VDur::nanos(40));
+  EXPECT_EQ(result.profile.inclusive(na, 1), VDur::nanos(30));
+}
+
+TEST(AnalyzerReplayOrder, OrphanMatchedBlockingSendOpensNoSendInterval) {
+  // Location 1 sends tags 1 and 2 at t=10 from two MPI_Send calls.  The
+  // tag-1 receive on location 0 completes at t=10 too and is replayed
+  // first, so tag 1 is orphan-matched and leaves no send interval.  The
+  // tag-2 receive is posted late (t=20): its sender waited in MPI_Send
+  // until t=30, a late receiver of 10 ns measured on the tag-2 interval
+  // alone.
+  trace::Trace t = ranks_trace(2);
+  const auto comm = t.add_comm(trace::CommKind::kMpiComm, {0, 1}, "w");
+  const auto send = t.regions().intern("MPI_Send", trace::RegionKind::kMpiP2P);
+  const auto recv = t.regions().intern("MPI_Recv", trace::RegionKind::kMpiP2P);
+  t.enter(0, VTime(0), recv);
+  t.recv(0, VTime(10), 1, 1, comm, 8);
+  t.exit(0, VTime(10), recv);
+  t.enter(0, VTime(20), recv);
+  t.recv(0, VTime(30), 1, 2, comm, 8);
+  t.exit(0, VTime(30), recv);
+  t.enter(1, VTime(5), send);
+  t.send(1, VTime(10), 0, 1, comm, 8);
+  t.exit(1, VTime(10), send);
+  t.enter(1, VTime(10), send);
+  t.send(1, VTime(10), 0, 2, comm, 8);
+  t.exit(1, VTime(30), send);
+  const auto result = analyze(t);
+  EXPECT_EQ(result.cube.total(PropertyId::kLateReceiver), VDur::nanos(10));
+  EXPECT_EQ(result.cube.at(PropertyId::kLateReceiver,
+                           result.profile.find_child(kRootNode, send), 1),
+            VDur::nanos(10));
+  EXPECT_EQ(result.cube.total(PropertyId::kLateSender), VDur::nanos(10));
+  EXPECT_EQ(quality_counters(result.quality), "12 0 0 0 0 0 0 0 0");
 }
 
 TEST(Analyzer, AnalysisOfSavedAndReloadedTraceMatches) {
