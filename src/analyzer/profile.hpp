@@ -60,6 +60,11 @@ class CallPathProfile {
   /// Region name of the node itself ("<root>" for the root).
   std::string name_of(NodeId n, const trace::Trace& trace) const;
 
+  /// Node `n` becomes node `new_id[n]`, with its metrics.  `new_id` is a
+  /// permutation that keeps the root at 0 and numbers every parent below
+  /// its children; each children list ends up sorted by id.
+  void renumber(std::span<const NodeId> new_id);
+
   /// Depth-first (pre-order) walk of the tree.
   void preorder(const std::function<void(NodeId, int depth)>& visit) const;
 

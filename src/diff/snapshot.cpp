@@ -1,6 +1,8 @@
 #include "diff/snapshot.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -76,15 +78,18 @@ Snapshot Snapshot::from_severity_csv(const std::string& text) {
           ": expected 4 fields, got " +
           std::to_string(std::count(line.begin(), line.end(), ',') + 1));
     }
-    const std::string seconds = line.substr(last + 1);
-    double severity_sec = 0.0;
-    try {
-      severity_sec = std::stod(seconds);
-    } catch (const std::exception&) {
-      throw UsageError("severity CSV line " + std::to_string(lineno) +
-                       ": bad severity '" + seconds + "'");
-    }
     const std::string_view row(line);
+    // The whole field must be one finite decimal: no blanks, hex floats,
+    // trailing garbage, nan or inf.
+    const std::string_view seconds = row.substr(last + 1);
+    double severity_sec = 0.0;
+    const auto [end, ec] = std::from_chars(
+        seconds.data(), seconds.data() + seconds.size(), severity_sec);
+    if (ec != std::errc() || end != seconds.data() + seconds.size() ||
+        !std::isfinite(severity_sec)) {
+      throw UsageError("severity CSV line " + std::to_string(lineno) +
+                       ": bad severity '" + std::string(seconds) + "'");
+    }
     s.add(row.substr(0, first), row.substr(first + 1, second_last - first - 1),
           row.substr(second_last + 1, last - second_last - 1), severity_sec);
   }

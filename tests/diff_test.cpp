@@ -308,6 +308,25 @@ TEST(DiffSnapshot, RejectsForeignCsv) {
       UsageError);
 }
 
+TEST(DiffSnapshot, RejectsSeveritiesThatAreNotWholeFiniteDecimals) {
+  const std::string header = "property,call_path,location,severity_sec\n";
+  for (const char* bad : {"0.5junk", " 0.5", "0x1p-1", "nan", "inf", ""}) {
+    try {
+      (void)diff::Snapshot::from_severity_csv(header + "a,b,c,0.25\n" +
+                                              "a,b,d," + bad + "\n");
+      ADD_FAILURE() << "accepted severity '" << bad << "'";
+    } catch (const UsageError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("severity CSV line 3: bad severity '") + bad +
+                    "'");
+    }
+  }
+  EXPECT_EQ(diff::Snapshot::from_severity_csv(header + "a,b,c,0.5\n")
+                .cells.front()
+                .severity_sec,
+            0.5);
+}
+
 // The ISSUE acceptance criterion: +20% extrawork on late_sender must diff
 // as a regression attributed to exactly that property — and to no other
 // wait-state leaf.
