@@ -2,7 +2,9 @@
 #pragma once
 
 #include <cstdio>
+#include <ctime>
 #include <string>
+#include <thread>
 
 #include "analyzer/analyzer.hpp"
 #include "core/composite.hpp"
@@ -24,6 +26,20 @@ inline gen::RunConfig default_config(int nprocs) {
   gen::RunConfig cfg;
   cfg.nprocs = nprocs;
   return cfg;
+}
+
+/// The "context" member every BENCH_*.json writer emits: cores, build
+/// type, compiler, the source commit CMake recorded at configure time and
+/// the UTC date, then `extra` (more ", \"key\": value" members).
+inline std::string context_json(const std::string& extra = "") {
+  const std::time_t t = std::time(nullptr);
+  char date[32];
+  std::strftime(date, sizeof date, "%Y-%m-%dT%H:%M:%SZ", std::gmtime(&t));
+  return "\"context\": {\"cores\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"build_type\": \"" ATS_BUILD_TYPE "\", \"compiler\": \"" ATS_COMPILER
+         "\", \"commit\": \"" ATS_COMMIT "\", \"date\": \"" +
+         std::string(date) + "\"" + extra + "}";
 }
 
 }  // namespace ats::benchutil

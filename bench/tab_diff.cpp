@@ -24,10 +24,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -69,13 +67,6 @@ Analyzed run_late_sender(double extrawork_scale) {
       def, params, benchutil::default_config(kRanks));
   analyze::AnalysisResult result = analyze::analyze(tr);
   return {std::move(tr), std::move(result)};
-}
-
-std::string utc_now() {
-  const std::time_t t = std::time(nullptr);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", std::gmtime(&t));
-  return buf;
 }
 
 }  // namespace
@@ -171,11 +162,10 @@ int main(int argc, char** argv) {
   if (!out_path.empty()) {
     std::ofstream os(out_path);
     os << "{\n  \"table\": \"TAB-DIFF\",\n";
-    os << "  \"context\": {\"cores\": " << std::thread::hardware_concurrency()
-       << ", \"build_type\": \"" << ATS_BUILD_TYPE << "\", \"compiler\": \""
-       << ATS_COMPILER << "\", \"commit\": \"" << ATS_COMMIT
-       << "\", \"date\": \"" << utc_now() << "\", \"ranks\": " << kRanks
-       << ", \"repeat\": " << repeat << "},\n";
+    os << "  "
+       << benchutil::context_json(", \"ranks\": " + std::to_string(kRanks) +
+                                  ", \"repeat\": " + std::to_string(repeat))
+       << ",\n";
     os << "  \"phases\": [\n";
     for (std::size_t i = 0; i < phases.size(); ++i) {
       const Phase& p = phases[i];

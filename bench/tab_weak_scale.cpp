@@ -7,12 +7,14 @@
 //   * a peak-RSS proxy (VmHWM delta of a forked child, so points do not
 //     pollute each other) and the derived bytes/location,
 //   * trace residency: spilled bytes and the binary trace file size,
-//   * zero-copy replay throughput (mmap the binary file, walk the events
-//     in the radix merge order).
+//   * analyzer throughput: trace events per second of a full
+//     analyze::analyze() of the zero-copy loaded binary file (mmap load
+//     plus the two-phase replay, profile and severity cube).
 //
 // Every N runs in its own forked child with the trace spilling to disk past
 // a 64 MiB watermark, exactly how a weak-scale user would run it; the
-// parent only aggregates the per-point JSON lines into BENCH_scale.json.
+// parent only aggregates the per-point JSON lines into BENCH_scale.json,
+// after a context block (cores, build type, compiler, commit, date).
 //
 // The "naive_stack_bytes" figure in the output is the cost of one fully
 // committed 256 KiB fiber stack — the per-location floor the engine would
@@ -35,6 +37,8 @@
 #include <string>
 #include <vector>
 
+#include "analyzer/analyzer.hpp"
+#include "bench_util.hpp"
 #include "gen/registry.hpp"
 #include "mpisim/world.hpp"
 #include "trace/trace_binary.hpp"
@@ -71,8 +75,8 @@ struct Point {
   std::size_t spilled_bytes = 0;   // trace payload streamed to the spill file
   std::size_t file_bytes = 0;      // binary trace container size
   std::uint64_t peak_live = 0;     // peak simultaneously-live locations
-  double replay_seconds = 0;
-  std::uint64_t replay_events = 0;
+  double analyze_seconds = 0;      // load_trace_binary_file + analyze
+  std::uint64_t analyzed_events = 0;
 };
 
 std::string to_json(const Point& p) {
@@ -85,8 +89,8 @@ std::string to_json(const Point& p) {
      << ",\"spilled_bytes\":" << p.spilled_bytes
      << ",\"trace_file_bytes\":" << p.file_bytes
      << ",\"peak_live_locations\":" << p.peak_live
-     << ",\"replay_events_per_sec\":"
-     << rate(double(p.replay_events), p.replay_seconds) << "}";
+     << ",\"analyze_events_per_sec\":"
+     << rate(double(p.analyzed_events), p.analyze_seconds) << "}";
   return os.str();
 }
 
@@ -136,14 +140,12 @@ Point run_point(int n) {
   }
   pt.rss_bytes = peak_rss_bytes() - rss0;
 
-  // Zero-copy replay: mmap the container and walk the global merge order,
-  // the same access pattern the analyzer's replay loop performs.
+  // The analysts' path: mmap the container zero-copy and analyze it.
   const auto t1 = Clock::now();
   trace::Trace loaded = trace::load_trace_binary_file(trace_path).trace;
-  std::uint64_t replayed = 0;
-  loaded.for_each_merged([&](const trace::Event&) { ++replayed; });
-  pt.replay_seconds = seconds_since(t1);
-  pt.replay_events = replayed;
+  const analyze::AnalysisResult result = analyze::analyze(loaded);
+  pt.analyze_seconds = seconds_since(t1);
+  pt.analyzed_events = result.quality.events_seen;
   std::remove(trace_path.c_str());
   return pt;
 }
@@ -173,7 +175,7 @@ int main(int argc, char** argv) {
 
   std::printf("TAB-WS weak-scaling sweep: late_sender, fibers\n");
   std::printf("%8s %12s %14s %12s %14s %14s\n", "ranks", "events",
-              "events/sec", "bytes/loc", "spilled", "replay ev/s");
+              "events/sec", "bytes/loc", "spilled", "analyze ev/s");
 
   std::vector<std::string> lines;
   for (int n : ns) {
@@ -236,12 +238,13 @@ int main(int argc, char** argv) {
     std::printf("%8d %12.0f %14.0f %12.0f %14.0f %14.0f\n", n,
                 field("\"events\":"), field("\"events_per_sec\":"),
                 field("\"bytes_per_loc\":"), field("\"spilled_bytes\":"),
-                field("\"replay_events_per_sec\":"));
+                field("\"analyze_events_per_sec\":"));
     std::fflush(stdout);
   }
 
   std::ofstream os(out_path);
   os << "{\n  \"bench\": \"weak_scale\",\n  \"property\": \"late_sender\",\n"
+     << "  " << ats::benchutil::context_json() << ",\n"
      << "  \"naive_stack_bytes\": 262144,\n"
      << "  \"points\": [\n";
   for (std::size_t i = 0; i < lines.size(); ++i) {
