@@ -247,8 +247,9 @@ BENCHMARK(BM_AnalyzerReplay)
     ->Unit(benchmark::kMillisecond);
 
 void BM_TraceMerge(benchmark::State& state) {
-  // The radix merge order over the per-location buffers (the replay's
-  // event source); compare with BM_TraceMergeStableSort below.
+  // The radix merge order over the per-location buffers (the routine that
+  // also orders the replay's communication records); compare with
+  // BM_TraceMergeStableSort below.
   const trace::Trace tr = make_trace(state);
   for (auto _ : state) {
     std::size_t n = 0;
