@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analyzer/analyzer.hpp"
@@ -156,6 +157,71 @@ TEST(CollCheck, UnfinishedCollectiveIsReported) {
   EXPECT_TRUE(d->participants[0].completed);
   EXPECT_FALSE(d->participants[1].completed);
   EXPECT_TRUE(d->missing.empty());
+}
+
+TEST(CollCheck, DuplicateAndNonMemberRecordsAreHandled) {
+  // A corrupted trace: on a two-rank communicator, rank 0 records its
+  // begin and its end twice, and two locations outside the communicator
+  // (one of them twice) record begins.  Duplicates count once; the
+  // outsiders are participants with comm rank -1.  Call #1 repeats the
+  // duplicates on members only and retires as sound.
+  trace::Trace t;
+  for (int i = 0; i < 4; ++i) {
+    trace::LocationInfo li;
+    li.id = i;
+    li.rank = i;
+    li.name = "rank " + std::to_string(i);
+    t.add_location(std::move(li));
+  }
+  const trace::CommId comm =
+      t.add_comm(trace::CommKind::kMpiComm, {0, 1}, "pair");
+  const trace::RegionId reg =
+      t.regions().intern("MPI_Barrier", trace::RegionKind::kMpiColl);
+  auto begin = [&](trace::LocId loc, std::int64_t seq, std::int64_t at) {
+    t.coll_begin(loc, VTime(at), comm, seq, trace::CollOp::kBarrier,
+                 trace::kNone, trace::kNone, reg);
+  };
+  auto end = [&](trace::LocId loc, std::int64_t seq, std::int64_t at) {
+    t.coll_end(loc, VTime(at), VTime(at - 100), comm, seq,
+               trace::CollOp::kBarrier, trace::kNone, 0, 0);
+  };
+  for (trace::LocId loc = 0; loc < 4; ++loc) t.enter(loc, VTime(100), reg);
+  begin(0, 0, 100);
+  begin(0, 0, 100);
+  begin(1, 0, 100);
+  begin(2, 0, 100);
+  begin(2, 0, 100);
+  begin(3, 0, 100);
+  end(0, 0, 200);
+  end(0, 0, 200);
+  end(1, 0, 200);
+  end(3, 0, 200);
+  begin(0, 1, 300);
+  begin(0, 1, 300);
+  begin(1, 1, 300);
+  end(0, 1, 400);
+  end(1, 1, 400);
+  end(0, 1, 400);
+  for (trace::LocId loc = 0; loc < 4; ++loc) t.exit(loc, VTime(400), reg);
+
+  AnalyzerOptions aopt;
+  aopt.lenient = true;
+  const AnalysisResult r = analyze::analyze(t, aopt);
+  ASSERT_EQ(r.defects.size(), 1u) << report::render_defects(r, t);
+  const StructuralDefect& d = r.defects.front();
+  EXPECT_EQ(d.kind, DefectKind::kUnfinishedCollective);
+  EXPECT_EQ(d.call_index, 0);
+  EXPECT_TRUE(d.missing.empty());
+  std::vector<std::tuple<int, trace::LocId, bool>> parts;
+  for (const auto& p : d.participants) {
+    parts.emplace_back(p.comm_rank, p.loc, p.completed);
+  }
+  EXPECT_EQ(parts, (std::vector<std::tuple<int, trace::LocId, bool>>{
+                       {-1, 2, false}, {-1, 3, true}, {0, 0, true},
+                       {1, 1, true}}));
+  EXPECT_EQ(d.describe(t),
+            "unfinished-collective 'pair' call #0 (barrier): ranks {-1} "
+            "entered but never completed");
 }
 
 // ------------------------------------------------- report-layer contracts

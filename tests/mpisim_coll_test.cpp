@@ -3,6 +3,7 @@
 // validation, communicator split/dup.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -559,6 +560,63 @@ TEST(Coll, TraceCollEndRecordsPerRank) {
     }
   }
   EXPECT_EQ(count, 3);  // seq 0 is the MPI_Init barrier
+}
+
+TEST(Coll, FastRankEntersTheNextInstanceBeforeASlowRankLeaves) {
+  // Rank 3 is the reduce's root and starts 10 ms late.  Ranks 0-2
+  // contribute, leave the reduce (#1) at once and wait in the allreduce (#2)
+  // before rank 3 has entered #1.  Later every rank leaves the barrier (#3)
+  // at the same time; ranks 0-2 resume first (ties go by id) and enter the
+  // allgather (#4) while rank 3 has not yet recorded its exit from #3.
+  // Each instance must keep its own arrivals and buffers.
+  std::vector<int> reduced(4, -1);
+  std::vector<int> summed(4, -1);
+  std::vector<std::vector<int>> gathered(4);
+  std::vector<VTime> ends(4);
+  const MpiRunResult result = run_mpi(clean_options(4), [&](Proc& p) {
+    const int me = p.world_rank();
+    const auto slot = static_cast<std::size_t>(me);
+    if (me == 3) p.sim().advance(ms(10));
+    int v = me + 1;
+    p.reduce(&v, &reduced[slot], 1, Datatype::kInt32, ReduceOp::kSum, 3,
+             p.comm_world());
+    int w = 10 * me;
+    p.allreduce(&w, &summed[slot], 1, Datatype::kInt32, ReduceOp::kSum,
+                p.comm_world());
+    p.sim().advance(ms(me));
+    p.barrier(p.comm_world());
+    int g = 100 + me;
+    gathered[slot].assign(4, -1);
+    p.allgather(&g, 1, gathered[slot].data(), 1, Datatype::kInt32,
+                p.comm_world());
+    ends[slot] = p.sim().now();
+  });
+  EXPECT_EQ(reduced[3], 1 + 2 + 3 + 4);
+  EXPECT_EQ(summed, (std::vector<int>{60, 60, 60, 60}));
+  for (const auto& got : gathered) {
+    EXPECT_EQ(got, (std::vector<int>{100, 101, 102, 103}));
+  }
+  const VTime z = VTime::zero();
+  EXPECT_EQ(ends, (std::vector<VTime>(4, z + ms(13))));
+
+  // (seq, loc) -> (enter, exit) of every kCollEnd record.
+  std::map<std::pair<std::int64_t, trace::LocId>, std::pair<VTime, VTime>>
+      got;
+  for (const auto* e : testutil::merged(result.trace)) {
+    if (e->type == trace::EventType::kCollEnd) {
+      got[{e->seq, e->loc}] = {e->enter_t, e->t};
+    }
+  }
+  std::map<std::pair<std::int64_t, trace::LocId>, std::pair<VTime, VTime>>
+      want;
+  for (trace::LocId r = 0; r < 4; ++r) {
+    const VTime late = r == 3 ? z + ms(10) : z;
+    want[{1, r}] = {late, late};
+    want[{2, r}] = {late, z + ms(10)};
+    want[{3, r}] = {z + ms(10 + r), z + ms(13)};
+    want[{4, r}] = {z + ms(13), z + ms(13)};
+  }
+  EXPECT_EQ(got, want);
 }
 
 TEST(Coll, InitFinalizeCostsAppear) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -29,6 +30,41 @@ OmpRunOptions clean_options() {
 }
 
 VDur ms(std::int64_t v) { return VDur::millis(v); }
+
+// Text trace of NowaitConstructsKeepTheirOwnInstances.
+const char* const kNowaitTrace =
+    "ATS-TRACE 1\n"
+    "region 0 omp_parallel omp parallel_region\n"
+    "region 1 omp_work omp for(dynamic)\n"
+    "region 2 omp_work omp single\n"
+    "region 3 omp_sync omp barrier\n"
+    "loc 0 -1 process 0 0 master\n"
+    "loc 1 0 thread 0 1 master thread 1\n"
+    "comm 0 team 2 0 1 master team(parallel_region)\n"
+    "E 0 0 0\n"
+    "E 0 0 1\n"
+    "X 0 4000000 1\n"
+    "E 0 4000000 1\n"
+    "X 0 6000000 1\n"
+    "E 0 6000000 2\n"
+    "X 0 7000000 2\n"
+    "E 0 7000000 3\n"
+    "C 0 7000000 7000000 0 0 omp_barrier -1 0 0\n"
+    "X 0 7000000 3\n"
+    "C 0 7000000 7000000 0 1 omp_ibarrier -1 0 0\n"
+    "X 0 7000000 0\n"
+    "E 1 0 0\n"
+    "E 1 5500000 1\n"
+    "X 1 5500000 1\n"
+    "E 1 5500000 1\n"
+    "X 1 6500000 1\n"
+    "E 1 6500000 2\n"
+    "X 1 6500000 2\n"
+    "E 1 6500000 3\n"
+    "C 1 7000000 6500000 0 0 omp_barrier -1 0 0\n"
+    "X 1 7000000 3\n"
+    "C 1 7000000 7000000 0 1 omp_ibarrier -1 0 0\n"
+    "X 1 7000000 0\n";
 
 TEST(Omp, ParallelRunsAllThreads) {
   std::set<int> tids;
@@ -225,6 +261,61 @@ TEST(Omp, SingleGoesToFirstArriver) {
     });
   });
   EXPECT_EQ(who, 2);
+}
+
+TEST(Omp, NowaitConstructsKeepTheirOwnInstances) {
+  // Thread 0 runs ahead through two nowait dynamic loops and a nowait
+  // single; thread 1 starts 5.5 ms late.  Each construct's chunks and its
+  // single must come from that construct's own instance: thread 1 finds
+  // loop A drained, takes the one chunk of loop B still open, and finds the
+  // single taken.  Thread 0 leaves every construct before thread 1 enters
+  // it, so an instance must survive until the last thread has left.
+  struct Grab {
+    int construct;
+    std::int64_t i;
+    int tid;
+    VTime at;
+    bool operator==(const Grab&) const = default;
+  };
+  std::vector<Grab> grabs;
+  std::vector<VTime> ends(2);
+  const OmpRunResult result =
+      run_omp(clean_options(), [&](simt::Context& ctx, Runtime& rt) {
+        parallel(ctx, rt, 2, [&](OmpCtx& o) {
+          const int tid = o.thread_num();
+          if (tid == 1) o.sim().advance(VDur::micros(5500));
+          auto loop = [&](int construct) {
+            return [&, construct, tid](std::int64_t i) {
+              grabs.push_back({construct, i, tid, o.sim().now()});
+              o.sim().advance(ms(1));
+            };
+          };
+          o.for_dynamic(4, 1, loop(0), /*nowait=*/true);
+          o.for_dynamic(3, 1, loop(1), /*nowait=*/true);
+          o.single(
+              [&] {
+                grabs.push_back({2, 0, tid, o.sim().now()});
+                o.sim().advance(ms(1));
+              },
+              /*nowait=*/true);
+          o.barrier();
+          ends[static_cast<std::size_t>(tid)] = o.sim().now();
+        });
+      });
+  const VTime z = VTime::zero();
+  const std::vector<Grab> want = {
+      {0, 0, 0, z},           {0, 1, 0, z + ms(1)},
+      {0, 2, 0, z + ms(2)},   {0, 3, 0, z + ms(3)},
+      {1, 0, 0, z + ms(4)},   {1, 1, 0, z + ms(5)},
+      {1, 2, 1, z + VDur::micros(5500)},
+      {2, 0, 0, z + ms(6)},
+  };
+  EXPECT_EQ(grabs, want);
+  EXPECT_EQ(ends, (std::vector<VTime>{z + ms(7), z + ms(7)}));
+  EXPECT_EQ(result.makespan, z + ms(7));
+  std::ostringstream os;
+  result.trace.save(os);
+  EXPECT_EQ(os.str(), kNowaitTrace) << os.str();
 }
 
 TEST(Omp, MasterRunsOnThreadZeroOnly) {
