@@ -1,14 +1,18 @@
 // Unit tests for the simt discrete-event engine: scheduling order,
 // determinism, block/wake time propagation, fork/join, deadlock detection,
-// error propagation, and fiber stack reuse within and across engines.
+// error propagation, fiber stack reuse within and across engines, and the
+// arrival gate's all-wait.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "simt/engine.hpp"
+#include "simt/gate.hpp"
 
 namespace ats::simt {
 namespace {
@@ -347,6 +351,80 @@ TEST(Engine, ManyLocations) {
 }
 
 // --- fiber stack reuse ------------------------------------------------------
+
+// ----------------------------------------------------------- ArrivalGate
+
+TEST(ArrivalGate, StaggeredArrivalsLeaveAtMaxEnterPlusCost) {
+  // Members arrive at 6, 0, 9 and 3 ms; all leave at 9 ms + 2 ms.  Only the
+  // last arriver (member 2) runs the compute step, and it never blocks:
+  // blocks and wakes number members - 1.
+  Engine eng;
+  ArrivalGate<> gate(4);
+  std::vector<LocationId> members;
+  std::vector<VTime> left(4);
+  std::vector<LocationId> computed_by;
+  const std::int64_t delay_ms[] = {6, 0, 9, 3};
+  for (int m = 0; m < 4; ++m) {
+    members.push_back(eng.add_location(
+        "m" + std::to_string(m), [&, m](Context& c) {
+          c.advance(VDur::millis(delay_ms[m]));
+          auto& inst = gate.open(gate.next_seq(static_cast<std::size_t>(m)));
+          gate.arrive(inst, c.now());
+          gate.release(c, inst, members, "gate test", [&] {
+            computed_by.push_back(c.id());
+            return VDur::millis(2);
+          });
+          left[static_cast<std::size_t>(m)] = c.now();
+          gate.leave(inst);
+        }));
+  }
+  eng.run();
+  for (const VTime t : left) EXPECT_EQ(t, VTime::zero() + VDur::millis(11));
+  EXPECT_EQ(computed_by, (std::vector<LocationId>{members[2]}));
+  EXPECT_EQ(eng.stats().blocks, 3u);
+  EXPECT_EQ(eng.stats().wakes, 3u);
+  EXPECT_EQ(gate.open_instances(), 0u);
+}
+
+TEST(ArrivalGate, BackToBackInstancesDoNotMix) {
+  // Two instances in a row.  Member 2 arrives last at the first; members 0
+  // and 1 resume before it at the shared release time (ties go by id), so
+  // they open and join the second instance while member 2 is still inside
+  // the first.  Each instance sums only its own contributions.
+  struct Sum {
+    int total = 0;
+  };
+  Engine eng;
+  ArrivalGate<Sum> gate(3);
+  std::vector<LocationId> members;
+  std::vector<int> totals;
+  std::size_t most_open = 0;
+  for (int m = 0; m < 3; ++m) {
+    members.push_back(eng.add_location(
+        "m" + std::to_string(m), [&, m](Context& c) {
+          c.advance(VDur::millis(m));
+          for (int round = 0; round < 2; ++round) {
+            auto& inst =
+                gate.open(gate.next_seq(static_cast<std::size_t>(m)));
+            most_open = std::max(most_open, gate.open_instances());
+            inst.total += 10 * round + m;
+            gate.arrive(inst, c.now());
+            gate.release(c, inst, members, "gate test", [&] {
+              totals.push_back(inst.total);
+              return VDur::millis(1);
+            });
+            gate.leave(inst);
+          }
+        }));
+  }
+  eng.run();
+  EXPECT_EQ(totals, (std::vector<int>{0 + 1 + 2, 10 + 11 + 12}));
+  EXPECT_EQ(most_open, 2u);
+  EXPECT_EQ(eng.horizon(), VTime::zero() + VDur::millis(4));
+  EXPECT_EQ(eng.stats().blocks, 4u);
+  EXPECT_EQ(eng.stats().wakes, 4u);
+  EXPECT_EQ(gate.open_instances(), 0u);
+}
 
 // Frame address of a location body's first frame.  (A local's address
 // would move to ASan's heap-allocated fake stack when use-after-return
