@@ -2,13 +2,17 @@
 //
 // Each collective instance is identified by (communicator, per-rank call
 // sequence number) — MPI requires every member to issue the communicator's
-// collectives in the same order, which the runtime verifies.  Every
-// operation runs one of three skeletons, which alone decide its timing:
+// collectives in the same order, which the runtime verifies.  The
+// communicator's arrival gate (simt/gate.hpp) keeps the sequence numbers,
+// the instances, their arrivals and latest enter, and erases an instance
+// when its last rank leaves.  Every operation runs one of three skeletons,
+// which alone decide its timing:
 //
 //  * all-to-all, coll_all_wait (barrier, allreduce, alltoall, allgather,
-//    scan, reduce_scatter_block, split, dup): the last arriver computes
-//    every output; everybody leaves at max(enter) + cost — early ranks wait
-//    for the last (the analyzer's "Wait at Barrier"/"Wait at NxN");
+//    scan, reduce_scatter_block, split, dup): the gate's release step — the
+//    last arriver computes every output; everybody leaves at
+//    max(enter) + cost — early ranks wait for the last (the analyzer's
+//    "Wait at Barrier"/"Wait at NxN");
 //  * root-source, coll_root_source (bcast, scatter, scatterv): the root
 //    stages its buffer and every rank's slice (for bcast, the whole
 //    buffer); non-roots leave at max(own enter, root enter) + cost — early
@@ -123,18 +127,14 @@ std::int64_t stage_slices(detail::CollInstance& inst,
 
 }  // namespace
 
-detail::CollInstance& Proc::coll_enter(Comm& comm, trace::CollOp op,
-                                       int root, Datatype type,
-                                       std::int64_t bytes,
-                                       std::int64_t& seq_out,
-                                       trace::RegionId region,
-                                       std::int32_t rop) {
+Proc::CollInst& Proc::coll_enter(Comm& comm, trace::CollOp op, int root,
+                                 Datatype type, std::int64_t bytes,
+                                 trace::RegionId region, std::int32_t rop) {
   const int me = rank(comm);
   if (root >= 0) comm.member(root);  // range check
 
   ctx_.yield();  // act in global virtual-time order
-  const std::int64_t seq = comm.coll_count_[static_cast<std::size_t>(me)]++;
-  seq_out = seq;
+  const std::int64_t seq = comm.coll_.next_seq(static_cast<std::size_t>(me));
   // Record the region enter and the per-participant call record *before*
   // the consistency checks below: when a mismatch aborts the run, the trace
   // must still show what every rank believed it was calling, so the replay
@@ -147,9 +147,8 @@ detail::CollInstance& Proc::coll_enter(Comm& comm, trace::CollOp op,
     world_->trace()->coll_begin(ctx_.id(), ctx_.now(), comm.trace_id(), seq,
                                 op, root_loc, rop, region);
   }
-  auto [it, inserted] = comm.coll_.try_emplace(seq);
-  detail::CollInstance& inst = it->second;
-  if (inserted) {
+  CollInst& inst = comm.coll_.open(seq);
+  if (inst.ranks.empty()) {  // first arriver: the instance is new
     inst.op = op;
     inst.root = root;
     inst.type = type;
@@ -181,14 +180,9 @@ detail::CollInstance& Proc::coll_enter(Comm& comm, trace::CollOp op,
     }
   }
   detail::CollRank& mine = inst.ranks[static_cast<std::size_t>(me)];
-  if (mine.present) {
-    throw MpiError("rank " + std::to_string(me) +
-                   " entered collective #" + std::to_string(seq) + " twice");
-  }
   mine.present = true;
   if (rop != trace::kNone) mine.rop = static_cast<ReduceOp>(rop);
-  inst.max_enter = later(inst.max_enter, ctx_.now());
-  ++inst.arrived;
+  comm.coll_.arrive(inst, ctx_.now());
   if (root >= 0 && me == root) {
     inst.root_arrived = true;
     inst.root_enter = ctx_.now();
@@ -197,22 +191,14 @@ detail::CollInstance& Proc::coll_enter(Comm& comm, trace::CollOp op,
 }
 
 void Proc::coll_all_wait(
-    Comm& comm, detail::CollInstance& inst,
+    Comm& comm, CollInst& inst,
     const std::function<void(detail::CollInstance&)>& compute_outputs) {
-  const int me = rank(comm);
-  const int p = comm.size();
-  if (inst.arrived < p) {
-    ctx_.block("MPI collective (waiting for all ranks)");
-    return;  // the last arriver computed outputs and set our clock
-  }
-  // Last arriver: compute everyone's result and release the others.
-  compute_outputs(inst);
-  const VTime end =
-      inst.max_enter + world_->cost().collective_time(p, cost_bytes(inst));
-  for (int r = 0; r < p; ++r) {
-    if (r != me) ctx_.engine().wake(comm.member(r), end);
-  }
-  ctx_.advance_to(end);
+  comm.coll_.release(ctx_, inst, comm.members_,
+                     "MPI collective (waiting for all ranks)", [&] {
+                       compute_outputs(inst);
+                       return world_->cost().collective_time(
+                           comm.size(), cost_bytes(inst));
+                     });
 }
 
 void Proc::coll_root_source(Comm& comm, detail::CollInstance& inst,
@@ -254,8 +240,8 @@ void Proc::coll_root_source(Comm& comm, detail::CollInstance& inst,
 }
 
 void Proc::coll_root_sink(
-    Comm& comm, detail::CollInstance& inst, const void* sdata,
-    std::int64_t sbytes, void* out,
+    Comm& comm, CollInst& inst, const void* sdata, std::int64_t sbytes,
+    void* out,
     const std::function<void(detail::CollInstance&)>& finalize,
     const char* wait_reason) {
   const int me = rank(comm);
@@ -292,28 +278,23 @@ void Proc::coll_root_sink(
   ctx_.advance(world_->cost().collective_time(p, sbytes));
 }
 
-void Proc::coll_finish(Comm& comm, std::int64_t seq, VTime enter_t,
+void Proc::coll_finish(Comm& comm, CollInst& inst, VTime enter_t,
                        std::int64_t bytes_in, std::int64_t bytes_out,
                        trace::RegionId region) {
-  auto it = comm.coll_.find(seq);
-  require(it != comm.coll_.end(), "coll_finish: instance vanished");
-  detail::CollInstance& inst = it->second;
   const std::int32_t root_loc =
       inst.root >= 0 ? comm.member(inst.root) : trace::kNone;
   world_->trace()->coll_end(ctx_.id(), ctx_.now(), enter_t, comm.trace_id(),
-                            seq, inst.op, root_loc, bytes_in, bytes_out);
+                            inst.seq, inst.op, root_loc, bytes_in, bytes_out);
   world_->trace()->exit(ctx_.id(), ctx_.now(), region);
-  ++inst.exited;
-  if (inst.exited == comm.size()) comm.coll_.erase(it);
+  comm.coll_.leave(inst);
 }
 
 void Proc::world_barrier() {
-  std::int64_t seq = 0;
   Comm& comm = world_->comm_world();
-  detail::CollInstance& inst =
-      coll_enter(comm, trace::CollOp::kBarrier, -1, Datatype::kByte, 0, seq,
-                 trace::kNone);
+  CollInst& inst = coll_enter(comm, trace::CollOp::kBarrier, -1,
+                              Datatype::kByte, 0, trace::kNone);
   coll_all_wait(comm, inst, [](detail::CollInstance&) {});
+  comm.coll_.leave(inst);
 }
 
 // ------------------------------------------------------------ operations
@@ -321,12 +302,11 @@ void Proc::world_barrier() {
 void Proc::barrier(Comm& comm) {
   const trace::RegionId reg =
       world_->region("MPI_Barrier", trace::RegionKind::kMpiColl);
-  std::int64_t seq = 0;
-  detail::CollInstance& inst = coll_enter(comm, trace::CollOp::kBarrier, -1,
-                                          Datatype::kByte, 0, seq, reg);
+  CollInst& inst = coll_enter(comm, trace::CollOp::kBarrier, -1,
+                              Datatype::kByte, 0, reg);
   const VTime enter_t = ctx_.now();
   coll_all_wait(comm, inst, [](detail::CollInstance&) {});
-  coll_finish(comm, seq, enter_t, 0, 0, reg);
+  coll_finish(comm, inst, enter_t, 0, 0, reg);
 }
 
 void Proc::bcast(void* data, int count, Datatype type, int root, Comm& comm) {
@@ -334,9 +314,8 @@ void Proc::bcast(void* data, int count, Datatype type, int root, Comm& comm) {
   const std::int64_t bytes = bytes_of(count, type);
   const trace::RegionId reg =
       world_->region("MPI_Bcast", trace::RegionKind::kMpiColl);
-  std::int64_t seq = 0;
-  detail::CollInstance& inst =
-      coll_enter(comm, trace::CollOp::kBcast, root, type, bytes, seq, reg);
+  CollInst& inst =
+      coll_enter(comm, trace::CollOp::kBcast, root, type, bytes, reg);
   const VTime enter_t = ctx_.now();
   if (is_root) {
     // Every rank's slice is the whole buffer.
@@ -345,7 +324,7 @@ void Proc::bcast(void* data, int count, Datatype type, int root, Comm& comm) {
     for (detail::CollRank& slot : inst.ranks) slot.slice_bytes = bytes;
   }
   coll_root_source(comm, inst, data, bytes, "MPI_Bcast (waiting for root)");
-  coll_finish(comm, seq, enter_t, is_root ? bytes : 0, is_root ? 0 : bytes,
+  coll_finish(comm, inst, enter_t, is_root ? bytes : 0, is_root ? 0 : bytes,
               reg);
 }
 
@@ -382,8 +361,7 @@ void Proc::scatterv_impl(trace::CollOp op, const void* sdata,
   const trace::RegionId reg = world_->region(
       op == trace::CollOp::kScatter ? "MPI_Scatter" : "MPI_Scatterv",
       trace::RegionKind::kMpiColl);
-  std::int64_t seq = 0;
-  detail::CollInstance& inst = coll_enter(comm, op, root, type, -1, seq, reg);
+  CollInst& inst = coll_enter(comm, op, root, type, -1, reg);
   const VTime enter_t = ctx_.now();
   if (is_root) {
     const std::int64_t extent =
@@ -393,7 +371,7 @@ void Proc::scatterv_impl(trace::CollOp op, const void* sdata,
   }
   coll_root_source(comm, inst, rdata, rcap,
                    "MPI_Scatterv (waiting for root)");
-  coll_finish(comm, seq, enter_t, is_root ? rcap * p : 0, is_root ? 0 : rcap,
+  coll_finish(comm, inst, enter_t, is_root ? rcap * p : 0, is_root ? 0 : rcap,
               reg);
 }
 
@@ -430,8 +408,7 @@ void Proc::gatherv_impl(trace::CollOp op, const void* sdata, int scount,
   const trace::RegionId reg = world_->region(
       op == trace::CollOp::kGather ? "MPI_Gather" : "MPI_Gatherv",
       trace::RegionKind::kMpiColl);
-  std::int64_t seq = 0;
-  detail::CollInstance& inst = coll_enter(comm, op, root, type, -1, seq, reg);
+  CollInst& inst = coll_enter(comm, op, root, type, -1, reg);
   const VTime enter_t = ctx_.now();
   if (is_root) stage_slices(inst, rcounts, displs, p, "gatherv");
 
@@ -452,7 +429,7 @@ void Proc::gatherv_impl(trace::CollOp op, const void* sdata, int scount,
         }
       },
       "MPI_Gatherv (root waiting for contributions)");
-  coll_finish(comm, seq, enter_t, is_root ? 0 : sbytes,
+  coll_finish(comm, inst, enter_t, is_root ? 0 : sbytes,
               is_root ? sbytes * p : 0, reg);
 }
 
@@ -462,9 +439,8 @@ void Proc::reduce(const void* sdata, void* rdata, int count, Datatype type,
   const std::int64_t bytes = bytes_of(count, type);
   const trace::RegionId reg =
       world_->region("MPI_Reduce", trace::RegionKind::kMpiColl);
-  std::int64_t seq = 0;
-  detail::CollInstance& inst =
-      coll_enter(comm, trace::CollOp::kReduce, root, type, bytes, seq, reg,
+  CollInst& inst =
+      coll_enter(comm, trace::CollOp::kReduce, root, type, bytes, reg,
                  static_cast<std::int32_t>(rop));
   const VTime enter_t = ctx_.now();
   coll_root_sink(
@@ -474,7 +450,7 @@ void Proc::reduce(const void* sdata, void* rdata, int count, Datatype type,
             ci, ci.ranks[static_cast<std::size_t>(ci.root)].out, count, 0);
       },
       "MPI_Reduce (root waiting for contributions)");
-  coll_finish(comm, seq, enter_t, is_root ? 0 : bytes, is_root ? bytes : 0,
+  coll_finish(comm, inst, enter_t, is_root ? 0 : bytes, is_root ? bytes : 0,
               reg);
 }
 
@@ -483,9 +459,8 @@ void Proc::allreduce(const void* sdata, void* rdata, int count, Datatype type,
   const std::int64_t bytes = bytes_of(count, type);
   const trace::RegionId reg =
       world_->region("MPI_Allreduce", trace::RegionKind::kMpiColl);
-  std::int64_t seq = 0;
-  detail::CollInstance& inst =
-      coll_enter(comm, trace::CollOp::kAllreduce, -1, type, bytes, seq, reg,
+  CollInst& inst =
+      coll_enter(comm, trace::CollOp::kAllreduce, -1, type, bytes, reg,
                  static_cast<std::int32_t>(rop));
   const VTime enter_t = ctx_.now();
   lend_buffers(inst, rank(comm), sdata, bytes, rdata, bytes);
@@ -497,7 +472,7 @@ void Proc::allreduce(const void* sdata, void* rdata, int count, Datatype type,
       detail::copy_payload(ci.ranks[r].out, acc, bytes);
     }
   });
-  coll_finish(comm, seq, enter_t, bytes, bytes, reg);
+  coll_finish(comm, inst, enter_t, bytes, bytes, reg);
 }
 
 void Proc::alltoall(const void* sdata, int scount, void* rdata, int rcount,
@@ -507,9 +482,8 @@ void Proc::alltoall(const void* sdata, int scount, void* rdata, int rcount,
   require(scount == rcount, "alltoall: scount must equal rcount");
   const trace::RegionId reg =
       world_->region("MPI_Alltoall", trace::RegionKind::kMpiColl);
-  std::int64_t seq = 0;
-  detail::CollInstance& inst = coll_enter(comm, trace::CollOp::kAlltoall, -1,
-                                          type, block * p, seq, reg);
+  CollInst& inst = coll_enter(comm, trace::CollOp::kAlltoall, -1,
+                              type, block * p, reg);
   const VTime enter_t = ctx_.now();
   lend_buffers(inst, rank(comm), sdata, block * p, rdata, block * p);
 
@@ -524,7 +498,7 @@ void Proc::alltoall(const void* sdata, int scount, void* rdata, int rcount,
       }
     }
   });
-  coll_finish(comm, seq, enter_t, block * p, block * p, reg);
+  coll_finish(comm, inst, enter_t, block * p, block * p, reg);
 }
 
 void Proc::allgather(const void* sdata, int scount, void* rdata, int rcount,
@@ -534,9 +508,8 @@ void Proc::allgather(const void* sdata, int scount, void* rdata, int rcount,
   require(scount == rcount, "allgather: scount must equal rcount");
   const trace::RegionId reg =
       world_->region("MPI_Allgather", trace::RegionKind::kMpiColl);
-  std::int64_t seq = 0;
-  detail::CollInstance& inst = coll_enter(comm, trace::CollOp::kAllgather, -1,
-                                          type, block, seq, reg);
+  CollInst& inst = coll_enter(comm, trace::CollOp::kAllgather, -1,
+                              type, block, reg);
   const VTime enter_t = ctx_.now();
   lend_buffers(inst, rank(comm), sdata, block, rdata, block * p);
 
@@ -549,7 +522,7 @@ void Proc::allgather(const void* sdata, int scount, void* rdata, int rcount,
       }
     }
   });
-  coll_finish(comm, seq, enter_t, block, block * p, reg);
+  coll_finish(comm, inst, enter_t, block, block * p, reg);
 }
 
 void Proc::scan(const void* sdata, void* rdata, int count, Datatype type,
@@ -557,9 +530,8 @@ void Proc::scan(const void* sdata, void* rdata, int count, Datatype type,
   const std::int64_t bytes = bytes_of(count, type);
   const trace::RegionId reg =
       world_->region("MPI_Scan", trace::RegionKind::kMpiColl);
-  std::int64_t seq = 0;
-  detail::CollInstance& inst =
-      coll_enter(comm, trace::CollOp::kScan, -1, type, bytes, seq, reg,
+  CollInst& inst =
+      coll_enter(comm, trace::CollOp::kScan, -1, type, bytes, reg,
                  static_cast<std::int32_t>(rop));
   const VTime enter_t = ctx_.now();
   lend_buffers(inst, rank(comm), sdata, bytes, rdata, bytes);
@@ -573,7 +545,7 @@ void Proc::scan(const void* sdata, void* rdata, int count, Datatype type,
                      ci.ranks[r].out, count);
     }
   });
-  coll_finish(comm, seq, enter_t, bytes, bytes, reg);
+  coll_finish(comm, inst, enter_t, bytes, bytes, reg);
 }
 
 void Proc::reduce_scatter_block(const void* sdata, void* rdata, int count,
@@ -582,10 +554,9 @@ void Proc::reduce_scatter_block(const void* sdata, void* rdata, int count,
   const std::int64_t block = bytes_of(count, type);
   const trace::RegionId reg =
       world_->region("MPI_Reduce_scatter", trace::RegionKind::kMpiColl);
-  std::int64_t seq = 0;
-  detail::CollInstance& inst =
+  CollInst& inst =
       coll_enter(comm, trace::CollOp::kReduceScatter, -1, type, block * p,
-                 seq, reg, static_cast<std::int32_t>(rop));
+                 reg, static_cast<std::int32_t>(rop));
   const VTime enter_t = ctx_.now();
   lend_buffers(inst, rank(comm), sdata, block * p, rdata, block);
 
@@ -596,7 +567,7 @@ void Proc::reduce_scatter_block(const void* sdata, void* rdata, int count,
                          block * static_cast<std::int64_t>(r));
     }
   });
-  coll_finish(comm, seq, enter_t, block * p, block, reg);
+  coll_finish(comm, inst, enter_t, block * p, block, reg);
 }
 
 // ------------------------------------------------- communicator management
@@ -606,9 +577,8 @@ Comm* Proc::split(Comm& comm, int color, int key) {
   const int p = comm.size();
   const trace::RegionId reg =
       world_->region("MPI_Comm_split", trace::RegionKind::kMpiOther);
-  std::int64_t seq = 0;
-  detail::CollInstance& inst = coll_enter(comm, trace::CollOp::kCommSplit, -1,
-                                          Datatype::kInt32, 8, seq, reg);
+  CollInst& inst = coll_enter(comm, trace::CollOp::kCommSplit, -1,
+                              Datatype::kInt32, 8, reg);
   const VTime enter_t = ctx_.now();
   detail::CollRank& mine = inst.ranks[static_cast<std::size_t>(me)];
   mine.color = color;
@@ -647,7 +617,7 @@ Comm* Proc::split(Comm& comm, int color, int key) {
     }
   });
   Comm* result = mine.split_result;
-  coll_finish(comm, seq, enter_t, 8, 8, reg);
+  coll_finish(comm, inst, enter_t, 8, 8, reg);
   return result;
 }
 
@@ -655,9 +625,8 @@ Comm& Proc::dup(Comm& comm) {
   const int me = rank(comm);
   const trace::RegionId reg =
       world_->region("MPI_Comm_dup", trace::RegionKind::kMpiOther);
-  std::int64_t seq = 0;
-  detail::CollInstance& inst = coll_enter(comm, trace::CollOp::kCommDup, -1,
-                                          Datatype::kInt32, 0, seq, reg);
+  CollInst& inst = coll_enter(comm, trace::CollOp::kCommDup, -1,
+                              Datatype::kInt32, 0, reg);
   const VTime enter_t = ctx_.now();
   coll_all_wait(comm, inst, [&](detail::CollInstance& ci) {
     std::vector<simt::LocationId> members;
@@ -666,7 +635,7 @@ Comm& Proc::dup(Comm& comm) {
     for (detail::CollRank& slot : ci.ranks) slot.split_result = &sub;
   });
   Comm* result = inst.ranks[static_cast<std::size_t>(me)].split_result;
-  coll_finish(comm, seq, enter_t, 0, 0, reg);
+  coll_finish(comm, inst, enter_t, 0, 0, reg);
   return *result;
 }
 

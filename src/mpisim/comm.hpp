@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -21,6 +20,7 @@
 #include "mpisim/datatype.hpp"
 #include "mpisim/request.hpp"
 #include "simt/engine.hpp"
+#include "simt/gate.hpp"
 #include "trace/trace.hpp"
 
 namespace ats::mpi {
@@ -99,13 +99,11 @@ struct CollRank {
   Comm* split_result = nullptr;    ///< comm_split / dup result
 };
 
-/// One in-flight collective operation instance on a communicator.
+/// The payload of one in-flight collective instance on a communicator; its
+/// sequence number, arrivals and latest enter live in the arrival gate.
 struct CollInstance {
   trace::CollOp op = trace::CollOp::kBarrier;
   int root = -1;
-  int arrived = 0;
-  int exited = 0;
-  VTime max_enter;
   VTime root_enter;
   bool root_arrived = false;
   /// Root-sink ops: the root is blocked waiting for contributions.
@@ -117,6 +115,8 @@ struct CollInstance {
   std::vector<std::byte> root_data;  ///< root-source: the root's buffer
   std::vector<CollRank> ranks;       ///< indexed by rank
 };
+
+using CollGate = simt::ArrivalGate<CollInstance>;
 
 }  // namespace detail
 
@@ -157,9 +157,8 @@ class Comm {
   std::vector<std::deque<detail::PendingRecv>> posted_;
   std::vector<std::vector<detail::ProbeWaiter>> probing_;
 
-  // --- collective state --------------------------------------------------
-  std::vector<std::int64_t> coll_count_;            // per rank
-  std::map<std::int64_t, detail::CollInstance> coll_;
+  // --- collective state: instance k is every rank's k-th collective ------
+  detail::CollGate coll_;
 };
 
 }  // namespace ats::mpi

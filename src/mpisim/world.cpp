@@ -15,7 +15,7 @@ Comm::Comm(World* world, std::vector<simt::LocationId> members,
   unexpected_.resize(members_.size());
   posted_.resize(members_.size());
   probing_.resize(members_.size());
-  coll_count_.assign(members_.size(), 0);
+  coll_ = detail::CollGate(members_.size());
   contiguous_ = true;
   for (std::size_t i = 1; i < members_.size(); ++i) {
     if (members_[i] != members_[0] + static_cast<simt::LocationId>(i)) {

@@ -209,24 +209,22 @@ class Proc {
   void enqueue_unexpected(Comm& comm, int dest, detail::PendingMsg msg);
 
   // collective internals (coll.cpp)
-  /// Joins collective instance (comm, seq).  Records the region enter and
-  /// the per-participant kCollBegin call record *before* the consistency
-  /// checks, so a mismatching rank still leaves evidence the replay-side
-  /// collective checker can cite; pass region == trace::kNone to suppress
-  /// both records (the internal init/finalize barriers, which never reach
-  /// coll_finish).  `rop` is the reduce-op id for reductions
-  /// (trace::kNone for ops without one).
-  detail::CollInstance& coll_enter(Comm& comm, trace::CollOp op, int root,
-                                   Datatype type, std::int64_t bytes,
-                                   std::int64_t& seq_out,
-                                   trace::RegionId region,
-                                   std::int32_t rop = trace::kNone);
-  void coll_finish(Comm& comm, std::int64_t seq, VTime enter_t,
+  using CollInst = detail::CollGate::Instance;
+  /// Joins this rank's next instance in `comm`'s arrival gate.  Records the
+  /// region enter and the per-participant kCollBegin call record *before*
+  /// the consistency checks, so a mismatching rank still leaves evidence the
+  /// replay-side collective checker can cite; pass region == trace::kNone to
+  /// suppress both records (the internal init/finalize barriers).  `rop` is
+  /// the reduce-op id for reductions (trace::kNone for ops without one).
+  CollInst& coll_enter(Comm& comm, trace::CollOp op, int root, Datatype type,
+                       std::int64_t bytes, trace::RegionId region,
+                       std::int32_t rop = trace::kNone);
+  void coll_finish(Comm& comm, CollInst& inst, VTime enter_t,
                    std::int64_t bytes_in, std::int64_t bytes_out,
                    trace::RegionId region);
-  /// All-to-all skeleton: the last arriver runs `compute_outputs` and
-  /// releases everyone at max(enter) + cost.
-  void coll_all_wait(Comm& comm, detail::CollInstance& inst,
+  /// All-to-all skeleton: the gate's release step, where the last arriver
+  /// runs `compute_outputs` and releases everyone at max(enter) + cost.
+  void coll_all_wait(Comm& comm, CollInst& inst,
                      const std::function<void(detail::CollInstance&)>&
                          compute_outputs);
   /// Root-source skeleton: the root has staged inst.root_data and every
@@ -235,8 +233,8 @@ class Proc {
                         std::int64_t capacity, const char* wait_reason);
   /// Root-sink skeleton: each rank contributes `sbytes` from `sdata`; the
   /// rank completing the instance runs `finalize` (fills the root's `out`).
-  void coll_root_sink(Comm& comm, detail::CollInstance& inst,
-                      const void* sdata, std::int64_t sbytes, void* out,
+  void coll_root_sink(Comm& comm, CollInst& inst, const void* sdata,
+                      std::int64_t sbytes, void* out,
                       const std::function<void(detail::CollInstance&)>&
                           finalize,
                       const char* wait_reason);

@@ -39,27 +39,27 @@ void parallel(simt::Context& ctx, Runtime& rt, int nthreads,
   team->rt = &rt;
   team->members.resize(static_cast<std::size_t>(nthreads));
   team->members[0] = ctx.id();
-  team->barrier_count.assign(static_cast<std::size_t>(nthreads), 0);
-  team->ws_count.assign(static_cast<std::size_t>(nthreads), 0);
+  team->barrier = simt::ArrivalGate<>(static_cast<std::size_t>(nthreads));
+  team->ws =
+      simt::ArrivalGate<detail::WsInst>(static_cast<std::size_t>(nthreads));
 
-  // Fork the worker threads; each runs the body as thread `t`, ends with
-  // the region's implicit barrier, and exits.
+  // Every thread `t` (the master is thread 0) runs the body inside the
+  // region and ends with the region's implicit barrier.
+  auto member = [team, &body, reg](simt::Context& c, int t) {
+    team->rt->trace()->enter(c.id(), c.now(), reg);
+    OmpCtx octx(c, team, t);
+    body(octx);
+    octx.barrier_impl(trace::CollOp::kOmpIBarrier);
+    team->rt->trace()->exit(c.id(), c.now(), reg);
+  };
+  // Fork the worker threads.  Copy the parent metadata: add_location below
+  // may reallocate the location table and invalidate references into it.
   std::vector<std::pair<std::string, simt::LocationBody>> children;
-  // Copy the parent metadata: add_location below may reallocate the
-  // location table and invalidate references into it.
   const std::string parent_name = tr->location(ctx.id()).name;
   const std::int32_t parent_rank = tr->location(ctx.id()).rank;
   for (int t = 1; t < nthreads; ++t) {
-    std::string name = parent_name + " thread " + std::to_string(t);
-    children.emplace_back(
-        std::move(name), [team, t, &body, reg](simt::Context& c) {
-          auto* ttr = team->rt->trace();
-          ttr->enter(c.id(), c.now(), reg);
-          OmpCtx octx(c, team, t);
-          body(octx);
-          octx.barrier_impl(trace::CollOp::kOmpIBarrier);
-          ttr->exit(c.id(), c.now(), reg);
-        });
+    children.emplace_back(parent_name + " thread " + std::to_string(t),
+                          [member, t](simt::Context& c) { member(c, t); });
   }
   const std::vector<simt::LocationId> ids = ctx.spawn(children);
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -76,12 +76,7 @@ void parallel(simt::Context& ctx, Runtime& rt, int nthreads,
   team->comm_id = tr->add_comm(trace::CommKind::kOmpTeam, team->members,
                                parent_name + " team(" + region_name + ")");
 
-  // Master participates as thread 0.
-  tr->enter(ctx.id(), ctx.now(), reg);
-  OmpCtx octx(ctx, team, 0);
-  body(octx);
-  octx.barrier_impl(trace::CollOp::kOmpIBarrier);
-  tr->exit(ctx.id(), ctx.now(), reg);
+  member(ctx, 0);
   ctx.join(ids);
 }
 
@@ -98,35 +93,28 @@ void OmpCtx::barrier() {
 }
 
 void OmpCtx::barrier_impl(trace::CollOp op) {
-  const int p = num_threads();
-  auto* tr = runtime().trace();
+  auto& gate = team_->barrier;
   ctx_.yield();
-  const std::int64_t seq =
-      team_->barrier_count[static_cast<std::size_t>(tid_)]++;
-  detail::BarrierInst& inst = team_->barriers[seq];
-  inst.max_enter = later(inst.max_enter, ctx_.now());
-  ++inst.arrived;
+  auto& inst = gate.open(gate.next_seq(static_cast<std::size_t>(tid_)));
   const VTime enter_t = ctx_.now();
-
-  if (inst.arrived < p) {
-    ctx_.block("omp barrier (waiting for team)");
-  } else {
-    const VTime end = inst.max_enter + runtime().cost().barrier_cost;
-    for (int t = 0; t < p; ++t) {
-      if (t != tid_) {
-        ctx_.engine().wake(team_->members[static_cast<std::size_t>(t)], end);
-      }
-    }
-    ctx_.advance_to(end);
-  }
-  tr->coll_end(ctx_.id(), ctx_.now(), enter_t, team_->comm_id, seq, op,
-               trace::kNone, 0, 0);
-  ++inst.exited;
-  if (inst.exited == p) team_->barriers.erase(seq);
+  gate.arrive(inst, enter_t);
+  gate.release(ctx_, inst, team_->members, "omp barrier (waiting for team)",
+               [&] { return runtime().cost().barrier_cost; });
+  runtime().trace()->coll_end(ctx_.id(), ctx_.now(), enter_t, team_->comm_id,
+                              inst.seq, op, trace::kNone, 0, 0);
+  gate.leave(inst);
 }
 
-std::int64_t OmpCtx::next_ws_seq() {
-  return team_->ws_count[static_cast<std::size_t>(tid_)]++;
+void OmpCtx::workshare(const char* region, bool nowait,
+                       const std::function<void()>& body) {
+  const trace::RegionId reg =
+      runtime().region(region, trace::RegionKind::kOmpWork);
+  auto* tr = runtime().trace();
+  ctx_.yield();
+  tr->enter(ctx_.id(), ctx_.now(), reg);
+  body();
+  if (!nowait) barrier_impl(trace::CollOp::kOmpIBarrier);
+  tr->exit(ctx_.id(), ctx_.now(), reg);
 }
 
 void OmpCtx::for_static(std::int64_t n, std::int64_t chunk,
@@ -134,55 +122,49 @@ void OmpCtx::for_static(std::int64_t n, std::int64_t chunk,
                         bool nowait) {
   require(n >= 0, "for_static: negative trip count");
   const int p = num_threads();
-  const trace::RegionId reg = runtime().region(
-      "omp for(static)", trace::RegionKind::kOmpWork);
-  auto* tr = runtime().trace();
-  next_ws_seq();  // keep construct sequence aligned across schedules
-  ctx_.yield();
-  tr->enter(ctx_.id(), ctx_.now(), reg);
-  if (chunk <= 0) {
-    // One contiguous block per thread (OpenMP default static schedule).
-    const std::int64_t base = n / p;
-    const std::int64_t rem = n % p;
-    const std::int64_t lo =
-        tid_ * base + std::min<std::int64_t>(tid_, rem);
-    const std::int64_t len = base + (tid_ < rem ? 1 : 0);
-    for (std::int64_t i = lo; i < lo + len; ++i) body(i);
-  } else {
-    for (std::int64_t start = static_cast<std::int64_t>(tid_) * chunk;
-         start < n; start += static_cast<std::int64_t>(p) * chunk) {
-      const std::int64_t end = std::min(n, start + chunk);
-      for (std::int64_t i = start; i < end; ++i) body(i);
+  workshare("omp for(static)", nowait, [&] {
+    // Take a worksharing number, so constructs stay aligned across
+    // schedules; a static schedule shares nothing, so opens no instance.
+    team_->ws.next_seq(static_cast<std::size_t>(tid_));
+    if (chunk <= 0) {
+      // One contiguous block per thread (OpenMP default static schedule).
+      const std::int64_t base = n / p;
+      const std::int64_t rem = n % p;
+      const std::int64_t lo =
+          tid_ * base + std::min<std::int64_t>(tid_, rem);
+      const std::int64_t len = base + (tid_ < rem ? 1 : 0);
+      for (std::int64_t i = lo; i < lo + len; ++i) body(i);
+    } else {
+      for (std::int64_t start = static_cast<std::int64_t>(tid_) * chunk;
+           start < n; start += static_cast<std::int64_t>(p) * chunk) {
+        const std::int64_t end = std::min(n, start + chunk);
+        for (std::int64_t i = start; i < end; ++i) body(i);
+      }
     }
-  }
-  if (!nowait) barrier_impl(trace::CollOp::kOmpIBarrier);
-  tr->exit(ctx_.id(), ctx_.now(), reg);
+  });
 }
 
 void OmpCtx::dynamic_schedule(
-    std::int64_t n,
+    const char* region, bool nowait, std::int64_t n,
     const std::function<std::int64_t(std::int64_t)>& chunk_for_remaining,
     const std::function<void(std::int64_t)>& body) {
-  detail::WsInst* inst;
-  {
-    const std::int64_t seq = next_ws_seq();
-    auto [it, inserted] = team_->ws.try_emplace(seq);
-    inst = &it->second;
-    // The instance is erased lazily: WsInst is cheap and the map lives only
-    // as long as the team, so constructs simply accumulate.
-  }
-  for (;;) {
-    ctx_.yield();  // chunk grabbing happens in virtual-time order
-    if (inst->next >= n) break;
-    const std::int64_t remaining = n - inst->next;
-    const std::int64_t chunk =
-        std::max<std::int64_t>(1, chunk_for_remaining(remaining));
-    const std::int64_t lo = inst->next;
-    const std::int64_t hi = std::min(n, lo + chunk);
-    inst->next = hi;
-    ctx_.advance(runtime().cost().sched_chunk_cost);
-    for (std::int64_t i = lo; i < hi; ++i) body(i);
-  }
+  workshare(region, nowait, [&] {
+    auto& ws = team_->ws;
+    auto& inst = ws.open(ws.next_seq(static_cast<std::size_t>(tid_)));
+    for (;;) {
+      ctx_.yield();  // chunk grabbing happens in virtual-time order
+      if (inst.next >= n) break;
+      const std::int64_t remaining = n - inst.next;
+      const std::int64_t chunk =
+          std::max<std::int64_t>(1, chunk_for_remaining(remaining));
+      const std::int64_t lo = inst.next;
+      const std::int64_t hi = std::min(n, lo + chunk);
+      inst.next = hi;
+      ctx_.advance(runtime().cost().sched_chunk_cost);
+      for (std::int64_t i = lo; i < hi; ++i) body(i);
+    }
+    ws.leave(inst);
+  });
 }
 
 void OmpCtx::for_dynamic(std::int64_t n, std::int64_t chunk,
@@ -190,14 +172,8 @@ void OmpCtx::for_dynamic(std::int64_t n, std::int64_t chunk,
                          bool nowait) {
   require(n >= 0, "for_dynamic: negative trip count");
   require(chunk >= 1, "for_dynamic: chunk must be >= 1");
-  const trace::RegionId reg = runtime().region(
-      "omp for(dynamic)", trace::RegionKind::kOmpWork);
-  auto* tr = runtime().trace();
-  ctx_.yield();
-  tr->enter(ctx_.id(), ctx_.now(), reg);
-  dynamic_schedule(n, [chunk](std::int64_t) { return chunk; }, body);
-  if (!nowait) barrier_impl(trace::CollOp::kOmpIBarrier);
-  tr->exit(ctx_.id(), ctx_.now(), reg);
+  dynamic_schedule("omp for(dynamic)", nowait, n,
+                   [chunk](std::int64_t) { return chunk; }, body);
 }
 
 void OmpCtx::for_guided(std::int64_t n, std::int64_t min_chunk,
@@ -206,50 +182,32 @@ void OmpCtx::for_guided(std::int64_t n, std::int64_t min_chunk,
   require(n >= 0, "for_guided: negative trip count");
   require(min_chunk >= 1, "for_guided: min_chunk must be >= 1");
   const int p = num_threads();
-  const trace::RegionId reg = runtime().region(
-      "omp for(guided)", trace::RegionKind::kOmpWork);
-  auto* tr = runtime().trace();
-  ctx_.yield();
-  tr->enter(ctx_.id(), ctx_.now(), reg);
   dynamic_schedule(
-      n,
+      "omp for(guided)", nowait, n,
       [min_chunk, p](std::int64_t remaining) {
         return std::max(min_chunk, remaining / (2 * p));
       },
       body);
-  if (!nowait) barrier_impl(trace::CollOp::kOmpIBarrier);
-  tr->exit(ctx_.id(), ctx_.now(), reg);
 }
 
 void OmpCtx::sections(const std::vector<std::function<void()>>& secs,
                       bool nowait) {
-  const trace::RegionId reg = runtime().region(
-      "omp sections", trace::RegionKind::kOmpWork);
-  auto* tr = runtime().trace();
-  ctx_.yield();
-  tr->enter(ctx_.id(), ctx_.now(), reg);
   dynamic_schedule(
-      static_cast<std::int64_t>(secs.size()),
+      "omp sections", nowait, static_cast<std::int64_t>(secs.size()),
       [](std::int64_t) { return 1; },
       [&](std::int64_t i) { secs[static_cast<std::size_t>(i)](); });
-  if (!nowait) barrier_impl(trace::CollOp::kOmpIBarrier);
-  tr->exit(ctx_.id(), ctx_.now(), reg);
 }
 
 void OmpCtx::single(const std::function<void()>& body, bool nowait) {
-  const trace::RegionId reg = runtime().region(
-      "omp single", trace::RegionKind::kOmpWork);
-  auto* tr = runtime().trace();
-  const std::int64_t seq = next_ws_seq();
-  ctx_.yield();
-  tr->enter(ctx_.id(), ctx_.now(), reg);
-  auto [it, inserted] = team_->ws.try_emplace(seq);
-  if (!it->second.single_taken) {
-    it->second.single_taken = true;
-    body();
-  }
-  if (!nowait) barrier_impl(trace::CollOp::kOmpIBarrier);
-  tr->exit(ctx_.id(), ctx_.now(), reg);
+  workshare("omp single", nowait, [&] {
+    auto& ws = team_->ws;
+    auto& inst = ws.open(ws.next_seq(static_cast<std::size_t>(tid_)));
+    if (!inst.single_taken) {
+      inst.single_taken = true;
+      body();
+    }
+    ws.leave(inst);
+  });
 }
 
 void OmpCtx::master(const std::function<void()>& body) {

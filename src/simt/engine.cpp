@@ -464,12 +464,6 @@ const std::string& Engine::name_of(LocationId id) const {
 
 LocationId Engine::parent_of(LocationId id) const { return loc(id)->parent; }
 
-VTime Engine::now_of(LocationId id) const { return loc(id)->now; }
-
-bool Engine::is_blocked(LocationId id) const {
-  return loc(id)->state == LocationState::kBlocked;
-}
-
 VTime Engine::horizon() const {
   VTime h = VTime::zero();
   for (const auto& l : locations_) h = later(h, l->now);

@@ -226,12 +226,6 @@ class Engine {
   /// blocked.  Called by the token holder (e.g. a sender waking a receiver).
   void wake(LocationId id, VTime not_before);
 
-  /// Clock of an arbitrary location (token holder only).
-  VTime now_of(LocationId id) const;
-
-  /// True if `id` is blocked (token holder only).
-  bool is_blocked(LocationId id) const;
-
  private:
   friend class Context;
 
