@@ -141,14 +141,37 @@ int CollectiveChecker::rank_in_comm(trace::CommId comm, trace::LocId loc) {
   return rit == it->second.end() ? -1 : rit->second;
 }
 
+DefectParticipant* CollectiveChecker::participant(Group& g, int rank,
+                                                  trace::LocId loc) {
+  if (rank >= 0) {
+    if (static_cast<std::size_t>(rank) >= g.by_rank.size()) return nullptr;
+    const std::int32_t i = g.by_rank[static_cast<std::size_t>(rank)];
+    return i < 0 ? nullptr : &g.participants[static_cast<std::size_t>(i)];
+  }
+  for (const std::size_t i : g.outsiders) {
+    if (g.participants[i].loc == loc) return &g.participants[i];
+  }
+  return nullptr;
+}
+
 void CollectiveChecker::on_begin(const trace::Event& e) {
   Group& g = groups_[GroupKey{e.comm, e.seq}];
-  for (const DefectParticipant& p : g.participants) {
-    if (p.loc == e.loc) return;  // duplicate record (corrupted trace)
+  const int rank = rank_in_comm(e.comm, e.loc);
+  // A location records one begin per instance; more is a corrupted trace.
+  if (participant(g, rank, e.loc) != nullptr) return;
+  const std::size_t index = g.participants.size();
+  if (rank >= 0) {
+    if (g.by_rank.empty()) {
+      g.by_rank.assign(trace_.comm(e.comm).members.size(), -1);
+    }
+    g.by_rank[static_cast<std::size_t>(rank)] =
+        static_cast<std::int32_t>(index);
+  } else {
+    g.outsiders.push_back(index);
   }
   DefectParticipant p;
   p.loc = e.loc;
-  p.comm_rank = rank_in_comm(e.comm, e.loc);
+  p.comm_rank = rank;
   p.call_index = e.seq;
   p.op = e.op;
   p.root = e.root;
@@ -168,12 +191,10 @@ void CollectiveChecker::on_end(const trace::Event& e) {
   const auto it = groups_.find(GroupKey{e.comm, e.seq});
   if (it == groups_.end()) return;  // no begins: OMP team or legacy trace
   Group& g = it->second;
-  for (DefectParticipant& p : g.participants) {
-    if (p.loc == e.loc && !p.completed) {
-      p.completed = true;
-      ++g.done;
-      break;
-    }
+  DefectParticipant* p = participant(g, rank_in_comm(e.comm, e.loc), e.loc);
+  if (p != nullptr && !p->completed) {
+    p->completed = true;
+    ++g.done;
   }
   // Retire structurally sound, fully attended, fully completed instances;
   // on clean traces every group dies here and finish() sees nothing.

@@ -90,6 +90,11 @@ class CollectiveChecker {
  private:
   struct Group {
     std::vector<DefectParticipant> participants;
+    /// Participant index per comm rank (-1: none yet), so a record finds its
+    /// participant in O(1); sized to the communicator on first use.
+    std::vector<std::int32_t> by_rank;
+    /// Indices of participants outside the communicator (corrupted trace).
+    std::vector<std::size_t> outsiders;
     std::size_t done = 0;  ///< participants with completed == true
     bool ops_differ = false;
     bool roots_differ = false;
@@ -118,6 +123,8 @@ class CollectiveChecker {
   };
 
   int rank_in_comm(trace::CommId comm, trace::LocId loc);
+  /// `loc`'s participant in `g` (`rank` is its comm rank), or nullptr.
+  static DefectParticipant* participant(Group& g, int rank, trace::LocId loc);
 
   const trace::Trace& trace_;
   std::unordered_map<GroupKey, Group, GroupKeyHash> groups_;
