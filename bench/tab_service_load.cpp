@@ -12,9 +12,10 @@
 //               and verifies overload answers immediately instead of
 //               queueing without bound.
 //
-// Prints the table and writes BENCH_service.json (one object per phase:
-// requests, ok/shed/error counts, wall seconds, requests/s, p50/p95
-// latency ms, cache hits) for the ctest smoke gate and PR-to-PR diffing.
+// Prints the table and writes BENCH_service.json (the common context block
+// with the client count, then one object per phase: requests, ok/shed/error
+// counts, wall seconds, requests/s, p50/p95 latency ms, cache hits) for the
+// ctest smoke gate and PR-to-PR diffing.
 //
 // Usage: tab_service_load [--out <path>] [--clients <n>] [--requests <n>]
 
@@ -112,9 +113,14 @@ void print_row(const PhaseResult& r) {
               static_cast<unsigned long long>(r.simulations));
 }
 
-void write_json(const std::string& path, const std::vector<PhaseResult>& rs) {
+void write_json(const std::string& path, const std::vector<PhaseResult>& rs,
+                int clients, int per_client) {
   std::ofstream out(path);
-  out << "{\n  \"table\": \"TAB-SL\",\n  \"phases\": [\n";
+  out << "{\n  \"table\": \"TAB-SL\",\n  "
+      << ats::benchutil::context_json(
+             ", \"clients\": " + std::to_string(clients) +
+             ", \"requests_per_client\": " + std::to_string(per_client))
+      << ",\n  \"phases\": [\n";
   for (std::size_t i = 0; i < rs.size(); ++i) {
     const PhaseResult& r = rs[i];
     out << "    {\"phase\": \"" << r.name << "\", \"requests\": " << r.requests
@@ -210,7 +216,7 @@ int main(int argc, char** argv) {
     server.stop();
   }
 
-  write_json(out_path, results);
+  write_json(out_path, results, clients, per_client);
   const bool sane = results[0].ok == results[0].requests &&
                     results[1].ok == results[1].requests &&
                     results[1].simulations == 0 &&
