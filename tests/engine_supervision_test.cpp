@@ -54,6 +54,45 @@ TEST(Supervision, YieldBudgetRaisesHangOnLivelock) {
   }
 }
 
+TEST(Supervision, LoneYielderSpendsTheWholeYieldBudget) {
+  // A lone location is always first, so none of its yields changes the
+  // order; the budget must still count every one of them and the dump
+  // must stay byte for byte what the scheduler writes.
+  EngineOptions opt;
+  opt.yield_limit = 1000;
+  Engine eng(opt);
+  eng.add_location("poller", [](Context& c) {
+    for (;;) c.yield();
+  });
+  try {
+    eng.run();
+    FAIL() << "expected HangError";
+  } catch (const HangError& e) {
+    EXPECT_STREQ(e.what(),
+                 "simulated hang: yield budget (1000 yields) exhausted "
+                 "without completing (livelock?)\n"
+                 "  [0] poller: runnable at 0 ns\n"
+                 "  resources: locations=1 live=1 peak=1\n");
+  }
+  EXPECT_EQ(eng.stats().yields, 1000u);
+}
+
+TEST(Supervision, LoneYielderWithResumeHookTripsWallClock) {
+  // Only the wall clock can stop this run, and the hook runs once at the
+  // start and once after every yield but the last, which never resumes.
+  EngineOptions opt;
+  opt.wall_clock_limit = std::chrono::milliseconds(20);
+  Engine eng(opt);
+  std::uint64_t hook_calls = 0;
+  const LocationId id = eng.add_location("poller", [](Context& c) {
+    for (;;) c.yield();
+  });
+  eng.set_resume_hook(id, [&](Context&) { ++hook_calls; });
+  EXPECT_THROW(eng.run(), HangError);
+  EXPECT_GT(eng.stats().yields, 0u);
+  EXPECT_EQ(hook_calls, eng.stats().yields);
+}
+
 TEST(Supervision, WallClockBudgetRaisesHang) {
   EngineOptions opt;
   opt.wall_clock_limit = std::chrono::milliseconds(20);

@@ -3,6 +3,7 @@
 // sends starve their receivers into deadlock — all deterministically.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 #include "analyzer/analyzer.hpp"
@@ -56,6 +57,53 @@ TEST(RankFault, StallDelaysTheRankAndOnlyThatRank) {
   EXPECT_EQ(result.fault_report.stalls, 1u);
   // 10ms of work + one 50ms stall on rank 1.
   EXPECT_EQ(result.makespan, VTime::zero() + VDur::millis(60));
+}
+
+TEST(RankFault, StallInsideAnUncontestedYieldKeepsTheTrace) {
+  // Rank 1's advances at 1 and 2 ms leave it first (rank 0 sits at 6 ms),
+  // so the stall hook fires on a yield that changes no order; its own
+  // advance to 5 ms is such a yield too.  Rank 1 then ties rank 0 at 6 ms,
+  // loses on id, and sends at 7 ms while rank 0 has waited in its receive
+  // since 6 ms: a 1 ms late sender.
+  MpiRunOptions opt = clean_options(2);
+  opt.faults.stall(1, VTime::zero() + VDur::millis(2), VDur::millis(3));
+  const MpiRunResult result = run_mpi(opt, [](Proc& p) {
+    int v = 7;
+    if (p.world_rank() == 0) {
+      p.sim().advance(VDur::millis(6));
+      p.recv(&v, 1, Datatype::kInt32, 1, 0, p.comm_world());
+    } else {
+      for (int i = 0; i < 4; ++i) p.sim().advance(VDur::millis(1));
+      p.send(&v, 1, Datatype::kInt32, 0, 0, p.comm_world());
+    }
+  });
+  std::ostringstream os;
+  result.trace.save(os);
+  EXPECT_EQ(os.str(),
+            "ATS-TRACE 1\n"
+            "region 0 mpi_other MPI_Init\n"
+            "region 1 mpi_p2p MPI_Recv\n"
+            "region 2 mpi_p2p MPI_Send\n"
+            "region 3 mpi_other MPI_Finalize\n"
+            "loc 0 -1 process 0 0 rank 0\n"
+            "loc 1 -1 process 1 0 rank 1\n"
+            "comm 0 mpi 2 0 1 MPI_COMM_WORLD\n"
+            "E 0 0 0\n"
+            "X 0 0 0\n"
+            "E 0 6000000 1\n"
+            "R 0 7000000 1 0 0 4\n"
+            "X 0 7000000 1\n"
+            "E 0 7000000 3\n"
+            "X 0 7000000 3\n"
+            "E 1 0 0\n"
+            "X 1 0 0\n"
+            "E 1 7000000 2\n"
+            "S 1 7000000 0 0 0 4\n"
+            "X 1 7000000 2\n"
+            "E 1 7000000 3\n"
+            "X 1 7000000 3\n");
+  EXPECT_EQ(result.fault_report.stalls, 1u);
+  EXPECT_EQ(result.makespan, VTime::zero() + VDur::millis(7));
 }
 
 TEST(RankFault, StalledSenderIsALateSender) {
