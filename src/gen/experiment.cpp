@@ -40,7 +40,7 @@ ExperimentRow run_experiment_cell(const ExperimentPlan& plan,
 
   ExperimentRow row;
   row.value = value;
-  row.dominant = "-";
+  row.dominant.assign(1, '-');
   try {
     const trace::Trace tr = run_single_property(def, pm, cfg);
     try {

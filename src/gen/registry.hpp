@@ -118,7 +118,7 @@ struct PropertyDef {
   /// states how the *runtime* reacts (a reduce-op mismatch completes kOk,
   /// an operation mismatch aborts with kMpiError, a conditional collective
   /// deadlocks); the checker must report the defect in every case.
-  std::optional<analyze::DefectKind> expected_defect;
+  std::optional<analyze::DefectKind> expected_defect{};
   /// Invokes the property function with parameters from `pm`.
   std::function<void(core::PropCtx&, const ParamMap&)> invoke;
 };

@@ -288,7 +288,11 @@ const char* to_string(Oracle o) {
 }
 
 std::string Violation::str() const {
-  return "[" + std::string(to_string(oracle)) + "] " + message;
+  std::string out(1, '[');
+  out += to_string(oracle);
+  out += "] ";
+  out += message;
+  return out;
 }
 
 std::string CheckResult::str() const {

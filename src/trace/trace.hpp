@@ -112,7 +112,7 @@ const char* reduce_op_name(std::int32_t rop);
 /// bytes.  Keep the static_asserts below in sync with any change here.
 struct Event {
   VTime t;                      // offset  0
-  VTime enter_t;                // offset  8  kCollEnd: participant entry time
+  VTime enter_t{};              // offset  8  kCollEnd: participant entry time
   std::int64_t bytes = 0;       // offset 16  kSend/kRecv payload;
                                 //            kCollEnd: bytes sent
   std::int64_t bytes_out = 0;   // offset 24  kCollEnd: bytes received

@@ -444,7 +444,10 @@ class Loader {
 std::string ParseDiagnostic::str() const {
   std::string out = binary ? "trace[bin]:record " : "trace:";
   out += std::to_string(line);
-  if (column > 0) out += ":" + std::to_string(column);
+  if (column > 0) {
+    out += ':';
+    out += std::to_string(column);
+  }
   out += ": ";
   out += to_string(kind);
   out += ": ";
