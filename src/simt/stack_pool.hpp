@@ -12,16 +12,15 @@
 //    count grows by ~2 per *chunk*, not per slab (vm.max_map_count is
 //    ~65530 by default; per-slab mappings or guard pages would exhaust it
 //    long before 100k locations).
-//  * Recycled, warm first — a slab released on location exit goes on a
-//    LIFO warm list with no syscall, so the next location reuses pages
-//    that are already faulted in.  Only a release that finds the warm list
-//    at kWarmSlabs pays MADV_DONTNEED and goes on the cold list, so peak
-//    residency tracks *live* locations plus a fixed warm set, not spawned
-//    ones.  A released slab of the simulator's own locations holds one
-//    resident 4 KiB page (a sweep run's smaps show 256 KiB resident per
-//    64-slab chunk), so the warm set costs about 0.5 MiB per thread.
+//  * Recycled warm — a slab released on location exit goes on a LIFO warm
+//    list with no syscall and stays there for the pool's whole life, so
+//    the next location reuses pages that are already faulted in.  acquire
+//    takes a warm slab before it carves a new one, so a pool never touches
+//    more slabs than its peak *live* locations: residency is bounded by
+//    the peak live slabs, not by spawned ones.  Released slabs keep their
+//    pages until the pool ends; they are resident at the peak anyway.
 //  * Kept per thread — the destructor hands up to kCachedChunks chunks,
-//    with their warm and cold slabs, to a thread_local cache, and the next
+//    with their warm slabs, to a thread_local cache, and the next
 //    pool built on that thread with the same slab size adopts them: the
 //    back-to-back engines of one sweep worker skip mmap, first touch and
 //    munmap.  Other chunks are unmapped; the cache unmaps what it holds
@@ -51,14 +50,13 @@ class StackPool {
   StackPool(const StackPool&) = delete;
   StackPool& operator=(const StackPool&) = delete;
 
-  /// Returns a slab of slab_bytes(): a warm released slab when one is
-  /// free, else a cold one, else the next slab of the current chunk
-  /// (mapping a fresh chunk when exhausted).  Recycled slabs are *not*
-  /// zeroed — fiber initial frames overwrite everything they read.
+  /// Returns a slab of slab_bytes(): the last released slab when one is
+  /// free, else the next slab of the current chunk (mapping a fresh chunk
+  /// when exhausted).  Recycled slabs are *not* zeroed — fiber initial
+  /// frames overwrite everything they read.
   char* acquire();
 
-  /// Returns `base` (a pointer obtained from acquire) to the warm list, or,
-  /// when that is full, releases its committed pages and files it cold.
+  /// Returns `base` (a pointer obtained from acquire) to the warm list.
   void release(char* base);
 
   std::size_t slab_bytes() const { return slab_bytes_; }
@@ -69,8 +67,6 @@ class StackPool {
   /// cover more engines without a fresh mmap but raise peak RSS; DESIGN.md
   /// §12 has the measurements behind 2.
   static constexpr std::size_t kCachedChunks = 2;
-  /// Released slabs kept resident before a release pays MADV_DONTNEED.
-  static constexpr std::size_t kWarmSlabs = kCachedChunks * kSlabsPerChunk;
 
   struct Chunk {
     char* base = nullptr;   ///< mapping base (guard page lives here)
@@ -82,7 +78,6 @@ class StackPool {
   struct Slabs {
     std::vector<Chunk> chunks;
     std::vector<char*> warm;  ///< released, pages still committed (LIFO)
-    std::vector<char*> cold;  ///< released after MADV_DONTNEED
   };
   struct Cache;
   /// The calling thread's cache.  It is destroyed at thread exit, so no
