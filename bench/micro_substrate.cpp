@@ -16,6 +16,7 @@
 #include "gen/experiment.hpp"
 #include "mpisim/world.hpp"
 #include "report/timeline.hpp"
+#include "runner/supervisor.hpp"
 #include "simt/engine.hpp"
 
 namespace {
@@ -345,8 +346,10 @@ void BM_ExperimentGrid(benchmark::State& state) {
                 "0.04"}};
   plan.config.nprocs = 4;
   plan.jobs = static_cast<int>(state.range(0));
+  const runner::SupervisedRunner sweep(
+      {.virtual_time_limit = VDur::zero(), .yield_limit = 0});
   for (auto _ : state) {
-    const auto rows = gen::run_experiment(plan);
+    const auto rows = sweep.run_sweep(plan);
     benchmark::DoNotOptimize(rows.size());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -21,6 +21,7 @@
 #include "gen/source_gen.hpp"
 #include "report/cube_view.hpp"
 #include "report/timeline.hpp"
+#include "runner/supervisor.hpp"
 
 namespace {
 
@@ -123,7 +124,10 @@ int main(int argc, char** argv) {
           plan.base.set(k, pm.get_raw(k, ""));
         }
       }
-      const auto rows = gen::run_experiment(plan);
+      // Every budget zero: the plain, unsupervised sweep.
+      const runner::SupervisedRunner sweep(
+          {.virtual_time_limit = VDur::zero(), .yield_limit = 0});
+      const auto rows = sweep.run_sweep(plan);
       std::cout << (csv ? gen::experiment_csv(plan, rows)
                         : gen::experiment_table(plan, rows));
       return 0;

@@ -1,11 +1,12 @@
 // Crash-consistent file primitives (write-to-temp + atomic rename).
 //
 // Several layers persist state that must survive an unceremonious kill —
-// the supervised runner's sweep journal (resumed with --resume), and the
-// analysis service's result cache and in-flight request table (reloaded on
-// daemon restart).  A plain appending ofstream can be interrupted mid-line,
-// leaving a torn record that a later load misparses or silently drops
-// together with everything after it.  The primitives here guarantee that a
+// the supervised runner's sweep journal (resumed when
+// SupervisorOptions::resume is set), and the analysis service's result
+// cache and in-flight request table (reloaded on daemon restart).  A plain
+// appending ofstream can be interrupted mid-line, leaving a torn record
+// that a later load misparses or silently drops together with everything
+// after it.  The primitives here guarantee that a
 // reader only ever observes a file that some writer produced in full:
 //
 //   * atomic_write_file(): the POSIX temp-file-in-same-directory + fsync +

@@ -147,6 +147,10 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
 }
 
+std::string first_line(std::string_view s) {
+  return std::string(s.substr(0, s.find('\n')));
+}
+
 std::string repeat(char c, std::size_t n) { return std::string(n, c); }
 
 std::string xml_escape(std::string_view s) {

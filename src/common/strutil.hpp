@@ -62,6 +62,9 @@ void append_severity_row(std::string& out, std::string_view property,
 /// True if `s` starts with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);
 
+/// The first line of a (possibly multi-line) message, without its newline.
+std::string first_line(std::string_view s);
+
 /// Repeats character `c` `n` times.
 std::string repeat(char c, std::size_t n);
 

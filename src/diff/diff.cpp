@@ -287,6 +287,13 @@ DiffResult diff_snapshots(const Snapshot& a, const Snapshot& b,
   };
   std::vector<Roll> rolls;
   std::vector<std::uint32_t> roll_of(g.names.size(), kNone);
+  // The changed pairs with their |delta|, sorted before any CellDelta is
+  // built, so each delta's strings are made once, in final order.
+  struct Changed {
+    double magnitude;
+    const Pair* pair;
+  };
+  std::vector<Changed> changed;
   for (const Pair& p : pairs) {
     const RowGroups::Group& group = g.groups[p.group];
     std::uint32_t& slot_of = roll_of[group.property];
@@ -300,7 +307,18 @@ DiffResult diff_snapshots(const Snapshot& a, const Snapshot& b,
     ++out.cells_compared;
     if (!clears_floors(p.a_sec, p.b_sec, opt)) continue;
     r.changed += 1;
-    CellDelta d;
+    changed.push_back({std::fabs(p.b_sec - p.a_sec), &p});
+  }
+  // Largest |delta| first; ties keep cell order.
+  std::stable_sort(changed.begin(), changed.end(),
+                   [](const Changed& x, const Changed& y) {
+                     return x.magnitude > y.magnitude;
+                   });
+  out.cells.reserve(changed.size());
+  for (const Changed& c : changed) {
+    const Pair& p = *c.pair;
+    const RowGroups::Group& group = g.groups[p.group];
+    CellDelta& d = out.cells.emplace_back();
     d.property = g.names.name(group.property);
     d.call_path = g.names.name(group.call_path);
     d.location = g.locations.name(p.location);
@@ -310,12 +328,7 @@ DiffResult diff_snapshots(const Snapshot& a, const Snapshot& b,
              : !p.in_b ? DeltaKind::kRemoved
              : p.b_sec > p.a_sec ? DeltaKind::kIncreased
                                  : DeltaKind::kDecreased;
-    out.cells.push_back(std::move(d));
   }
-  std::stable_sort(out.cells.begin(), out.cells.end(),
-                   [](const CellDelta& x, const CellDelta& y) {
-                     return std::fabs(x.delta()) > std::fabs(y.delta());
-                   });
 
   double best_regression = 0.0;
   for (const Roll& r : rolls) {

@@ -2,21 +2,9 @@
 
 #include <sstream>
 
-#include "common/parallel.hpp"
 #include "common/strutil.hpp"
 
 namespace ats::gen {
-
-namespace {
-
-/// First line of a (possibly multi-line) error message.
-std::string first_line(const char* what) {
-  const std::string s(what);
-  const auto nl = s.find('\n');
-  return nl == std::string::npos ? s : s.substr(0, nl);
-}
-
-}  // namespace
 
 bool any_cell_failed(const std::vector<ExperimentRow>& rows) {
   for (const auto& r : rows) {
@@ -41,57 +29,32 @@ ExperimentRow run_experiment_cell(const ExperimentPlan& plan,
   ExperimentRow row;
   row.value = value;
   row.dominant.assign(1, '-');
-  try {
-    const trace::Trace tr = run_single_property(def, pm, cfg);
-    try {
-      const auto result = analyze::analyze(tr, plan.analyzer);
-      row.total_time = result.total_time;
-      if (def.expected.has_value()) {
-        row.severity = result.cube.total(*def.expected);
-        row.fraction = result.total_time > VDur::zero()
-                           ? row.severity / result.total_time
-                           : 0.0;
-      }
-      const auto dom = result.dominant();
-      row.dominant = dom ? analyze::property_name(dom->prop) : "-";
-      row.detected =
-          def.expected.has_value() && dom && dom->prop == *def.expected;
-    } catch (const Error& e) {
-      row.outcome = RunOutcome::kAnalysisError;
-      row.note = first_line(e.what());
-    }
-  } catch (const DeadlockError& e) {
-    row.outcome = RunOutcome::kDeadlock;
-    row.note = first_line(e.what());
-  } catch (const HangError& e) {
-    row.outcome = RunOutcome::kHang;
-    row.note = first_line(e.what());
-  } catch (const MpiError& e) {
-    row.outcome = RunOutcome::kMpiError;
-    row.note = first_line(e.what());
-  } catch (const OmpError& e) {
-    row.outcome = RunOutcome::kMpiError;
-    row.note = first_line(e.what());
-  }
   // Plain UsageError (bad parameters, nprocs < min_procs) is plan misuse,
   // not a runtime fault: it propagates to the caller.
+  SalvagedRun run = run_single_property_salvaged(def, pm, cfg);
+  if (run.outcome != RunOutcome::kOk) {
+    row.outcome = run.outcome;
+    row.note = std::move(run.error);
+    return row;
+  }
+  try {
+    const auto result = analyze::analyze(run.trace, plan.analyzer);
+    row.total_time = result.total_time;
+    if (def.expected.has_value()) {
+      row.severity = result.cube.total(*def.expected);
+      row.fraction = result.total_time > VDur::zero()
+                         ? row.severity / result.total_time
+                         : 0.0;
+    }
+    const auto dom = result.dominant();
+    row.dominant = dom ? analyze::property_name(dom->prop) : "-";
+    row.detected =
+        def.expected.has_value() && dom && dom->prop == *def.expected;
+  } catch (const Error& e) {
+    row.outcome = RunOutcome::kAnalysisError;
+    row.note = first_line(e.what());
+  }
   return row;
-}
-
-std::vector<ExperimentRow> run_experiment(const ExperimentPlan& plan) {
-  const PropertyDef& def = Registry::instance().find(plan.property);
-  require(!plan.axis.param.empty(), "experiment: sweep axis has no name");
-  require(!plan.axis.values.empty(), "experiment: sweep axis has no values");
-
-  // Each cell simulates, analyzes, and writes exactly one pre-sized slot;
-  // cells share only the immutable plan, so the row vector is identical for
-  // any worker count.
-  std::vector<ExperimentRow> rows(plan.axis.values.size());
-  par::ThreadPool pool(plan.jobs);
-  pool.parallel_for(plan.axis.values.size(), [&](std::size_t i) {
-    rows[i] = run_experiment_cell(plan, def, plan.axis.values[i]);
-  });
-  return rows;
 }
 
 std::string experiment_csv(const ExperimentPlan& plan,

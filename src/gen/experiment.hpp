@@ -4,9 +4,12 @@
 // then be executed through scripting languages or through automatic
 // experiment management systems, such as ZENTURIO."  This module is that
 // facility in-library: an ExperimentPlan names a property function, a base
-// configuration and one sweep axis; run_experiment executes the grid and
-// reports, per point, the measured severity of the expected property and
-// whether the analyzer detected it — ready for CSV export.
+// configuration and one sweep axis; run_experiment_cell runs one point of
+// the grid and reports the measured severity of the expected property and
+// whether the analyzer detected it — ready for CSV export.  The sweep
+// itself (parallel cells, budgets, retries, journal) is
+// runner::SupervisedRunner::run_sweep; with every budget zero it is the
+// plain unsupervised sweep.
 #pragma once
 
 #include <string>
@@ -65,12 +68,6 @@ bool any_cell_failed(const std::vector<ExperimentRow>& rows);
 ExperimentRow run_experiment_cell(const ExperimentPlan& plan,
                                   const PropertyDef& def,
                                   const std::string& value);
-
-/// Runs the sweep; one row per axis value, in order.  Cells run in
-/// parallel per ExperimentPlan::jobs; results are independent of the
-/// worker count.  Failed cells degrade to rows with a non-kOk outcome
-/// instead of aborting the sweep.
-std::vector<ExperimentRow> run_experiment(const ExperimentPlan& plan);
 
 /// Renders rows as CSV (header + one line per row).
 std::string experiment_csv(const ExperimentPlan& plan,

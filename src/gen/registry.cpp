@@ -648,29 +648,64 @@ std::vector<std::string> Registry::defect_names() const {
   return out;
 }
 
-trace::Trace run_single_property(const PropertyDef& def, const ParamMap& pmap,
-                                 const RunConfig& cfg) {
-  pmap.check_against(def.params);
-  require(cfg.nprocs >= def.min_procs,
-          "property '" + def.name + "' needs at least " +
-              std::to_string(def.min_procs) + " processes");
+std::optional<RunFailure> classify_run_failure(const std::exception& e) {
+  const auto failure = [&e](RunOutcome o) {
+    return std::optional<RunFailure>({o, first_line(e.what())});
+  };
+  if (dynamic_cast<const DeadlockError*>(&e) != nullptr) {
+    return failure(RunOutcome::kDeadlock);
+  }
+  if (dynamic_cast<const HangError*>(&e) != nullptr) {
+    return failure(RunOutcome::kHang);
+  }
+  // MpiError and OmpError derive from UsageError, which on its own is not
+  // a run outcome: only the derived types classify.
+  if (dynamic_cast<const MpiError*>(&e) != nullptr ||
+      dynamic_cast<const OmpError*>(&e) != nullptr) {
+    return failure(RunOutcome::kMpiError);
+  }
+  return std::nullopt;
+}
+
+mpi::RankFaultReport run_ranks(
+    const RunConfig& cfg, bool openmp, trace::Trace& trace,
+    const std::function<void(core::PropCtx&)>& body) {
   mpi::MpiRunOptions opt;
   opt.nprocs = cfg.nprocs;
   opt.cost = cfg.mpi_cost;
   opt.engine = cfg.engine;
   opt.trace_enabled = cfg.trace_enabled;
   opt.faults = cfg.faults;
-  auto result = mpi::run_mpi(opt, [&](mpi::Proc& p) {
-    if (def.uses_openmp) {
-      omp::Runtime rt(p.world().trace(), cfg.omp_cost);
-      core::PropCtx ctx = core::PropCtx::from(p, &rt);
-      def.invoke(ctx, pmap);
-    } else {
-      core::PropCtx ctx = core::PropCtx::from(p);
-      def.invoke(ctx, pmap);
-    }
-  });
-  return std::move(result.trace);
+  opt.external_trace = &trace;
+  const auto bind = [&](mpi::Proc& p) {
+    std::optional<omp::Runtime> rt;
+    if (openmp) rt.emplace(p.world().trace(), cfg.omp_cost);
+    core::PropCtx ctx = core::PropCtx::from(p, rt ? &*rt : nullptr);
+    body(ctx);
+  };
+  return mpi::run_mpi(opt, bind).fault_report;
+}
+
+namespace {
+
+/// Checks `pmap` and cfg.nprocs against `def`, then runs it into `trace`.
+void run_property(const PropertyDef& def, const ParamMap& pmap,
+                  const RunConfig& cfg, trace::Trace& trace) {
+  pmap.check_against(def.params);
+  require(cfg.nprocs >= def.min_procs,
+          "property '" + def.name + "' needs at least " +
+              std::to_string(def.min_procs) + " processes");
+  run_ranks(cfg, def.uses_openmp, trace,
+            [&](core::PropCtx& ctx) { def.invoke(ctx, pmap); });
+}
+
+}  // namespace
+
+trace::Trace run_single_property(const PropertyDef& def, const ParamMap& pmap,
+                                 const RunConfig& cfg) {
+  trace::Trace trace;
+  run_property(def, pmap, cfg, trace);
+  return trace;
 }
 
 trace::Trace run_single_property(const std::string& name, const ParamMap& pm_,
@@ -681,45 +716,14 @@ trace::Trace run_single_property(const std::string& name, const ParamMap& pm_,
 SalvagedRun run_single_property_salvaged(const PropertyDef& def,
                                          const ParamMap& pmap,
                                          const RunConfig& cfg) {
-  pmap.check_against(def.params);
-  require(cfg.nprocs >= def.min_procs,
-          "property '" + def.name + "' needs at least " +
-              std::to_string(def.min_procs) + " processes");
-  auto first_line = [](const std::string& s) {
-    const auto nl = s.find('\n');
-    return nl == std::string::npos ? s : s.substr(0, nl);
-  };
   SalvagedRun out;
-  mpi::MpiRunOptions opt;
-  opt.nprocs = cfg.nprocs;
-  opt.cost = cfg.mpi_cost;
-  opt.engine = cfg.engine;
-  opt.trace_enabled = cfg.trace_enabled;
-  opt.faults = cfg.faults;
-  opt.external_trace = &out.trace;
   try {
-    (void)mpi::run_mpi(opt, [&](mpi::Proc& p) {
-      if (def.uses_openmp) {
-        omp::Runtime rt(p.world().trace(), cfg.omp_cost);
-        core::PropCtx ctx = core::PropCtx::from(p, &rt);
-        def.invoke(ctx, pmap);
-      } else {
-        core::PropCtx ctx = core::PropCtx::from(p);
-        def.invoke(ctx, pmap);
-      }
-    });
-  } catch (const DeadlockError& e) {
-    out.outcome = RunOutcome::kDeadlock;
-    out.error = first_line(e.what());
-  } catch (const HangError& e) {
-    out.outcome = RunOutcome::kHang;
-    out.error = first_line(e.what());
-  } catch (const MpiError& e) {
-    out.outcome = RunOutcome::kMpiError;
-    out.error = first_line(e.what());
-  } catch (const OmpError& e) {
-    out.outcome = RunOutcome::kMpiError;
-    out.error = first_line(e.what());
+    run_property(def, pmap, cfg, out.trace);
+  } catch (const std::exception& e) {
+    std::optional<RunFailure> failure = classify_run_failure(e);
+    if (!failure) throw;
+    out.outcome = failure->outcome;
+    out.error = std::move(failure->error);
   }
   return out;
 }

@@ -11,6 +11,7 @@
 //   * standalone C++ driver source generation (source_gen.hpp).
 #pragma once
 
+#include <exception>
 #include <functional>
 #include <optional>
 #include <span>
@@ -178,6 +179,28 @@ struct RunConfig {
   mpi::RankFaultPlan faults{};
 };
 
+/// How a run ended when it threw: the outcome class and the first line of
+/// the message.
+struct RunFailure {
+  RunOutcome outcome = RunOutcome::kOk;
+  std::string error;
+};
+
+/// Classifies an exception thrown by a simulated run: DeadlockError ->
+/// kDeadlock, HangError -> kHang, MpiError and OmpError -> kMpiError.
+/// Anything else, plain UsageError included, has no run outcome (nullopt);
+/// the caller decides whether to rethrow it.
+std::optional<RunFailure> classify_run_failure(const std::exception& e);
+
+/// Runs `body` on each of cfg.nprocs simulated ranks, bound to one PropCtx
+/// per rank (with an OpenMP runtime when `openmp`), recording into `trace`.
+/// The caller owns the trace, so the events recorded up to a failure
+/// survive the exception the run ends with.  Returns what the armed rank
+/// faults did.
+mpi::RankFaultReport run_ranks(
+    const RunConfig& cfg, bool openmp, trace::Trace& trace,
+    const std::function<void(core::PropCtx&)>& body);
+
 /// Executes one property function as a complete simulated program (the
 /// generated single-property test program): launches `nprocs` ranks, binds
 /// PropCtx (with an OpenMP runtime when needed), runs the property with the
@@ -197,9 +220,10 @@ struct SalvagedRun {
 
 /// Like run_single_property, but survives the declared failure of a
 /// pathological or defect entry: the engine exception is classified into
-/// `outcome` and the events recorded up to the failure are salvaged via
-/// MpiRunOptions::external_trace instead of being lost with the engine —
-/// exactly what the structural collective checker needs (docs/DEFECTS.md).
+/// `outcome` (classify_run_failure; unclassified exceptions propagate) and
+/// the events recorded up to the failure are kept instead of being lost
+/// with the engine — exactly what the structural collective checker needs
+/// (docs/DEFECTS.md).
 /// Callers running deadlock/hang candidates should arm supervision budgets
 /// in cfg.engine.
 SalvagedRun run_single_property_salvaged(const PropertyDef& def,

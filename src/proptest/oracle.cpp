@@ -13,7 +13,6 @@
 #include "diff/diff.hpp"
 #include "faults/fault_injector.hpp"
 #include "mpisim/world.hpp"
-#include "ompsim/omp.hpp"
 #include "report/cube_view.hpp"
 #include "trace/trace_binary.hpp"
 #include "trace/trace_io.hpp"
@@ -63,11 +62,6 @@ bool in_attribution_family(const std::string& name, PropertyId expected) {
   return false;
 }
 
-std::string first_line(const std::string& s) {
-  const auto nl = s.find('\n');
-  return nl == std::string::npos ? s : s.substr(0, nl);
-}
-
 /// "dropped=2 unmatched_sends=1" — the non-zero anomaly counters.
 std::string quality_summary(const analyze::DataQuality& q) {
   std::ostringstream os;
@@ -93,31 +87,11 @@ std::string save_text(const trace::Trace& t) {
   return os.str();
 }
 
-/// The program body for one spec: the primary property, then any mix
-/// members, bound to one PropCtx per rank exactly like run_single_property.
-void invoke_members(const ProgramSpec& spec, mpi::Proc& p,
-                    const gen::RunConfig& cfg) {
-  const auto& reg = gen::Registry::instance();
-  std::vector<const gen::PropertyDef*> defs;
-  defs.push_back(&reg.find(spec.property));
-  for (const auto& name : spec.mix) defs.push_back(&reg.find(name));
-  const bool any_omp =
-      std::any_of(defs.begin(), defs.end(),
-                  [](const gen::PropertyDef* d) { return d->uses_openmp; });
-  std::optional<omp::Runtime> rt;
-  if (any_omp) rt.emplace(p.world().trace(), cfg.omp_cost);
-  core::PropCtx ctx = core::PropCtx::from(p, rt ? &*rt : nullptr);
-  for (const gen::PropertyDef* def : defs) {
-    def->invoke(ctx, params_for(*def, spec));
-  }
-}
-
 /// The injected-miscall epilogue: runs after the spec's program body, on
 /// comm world, so the salvaged trace ends with exactly one known structural
 /// defect for the collective checker to find.
-void inject_coll_defect(const ProgramSpec& spec, mpi::Proc& p) {
+void inject_coll_defect(const ProgramSpec& spec, core::PropCtx& ctx) {
   if (spec.coll_defect == SpecCollDefect::kNone) return;
-  core::PropCtx ctx = core::PropCtx::from(p);
   const double work = static_cast<double>(spec.basework_us) * 1e-6;
   mpi::Comm& world = ctx.mpi_proc().comm_world();
   switch (spec.coll_defect) {
@@ -312,49 +286,48 @@ RunResult run_program(const ProgramSpec& spec) {
   cfg.engine.yield_limit = kYieldLimit;
   cfg.faults = fault_plan(spec, nprocs);
 
-  mpi::MpiRunOptions opt;
-  opt.nprocs = cfg.nprocs;
-  opt.cost = cfg.mpi_cost;
-  opt.engine = cfg.engine;
-  opt.trace_enabled = true;
-  opt.faults = cfg.faults;
+  // The program body, on one PropCtx per rank: the split-communicator
+  // composite, or the primary property then any mix members; then the
+  // injected miscall, if any.
+  const auto& reg = gen::Registry::instance();
+  std::vector<const gen::PropertyDef*> defs;
+  if (spec.mode != ProgramMode::kSplit) {
+    defs.push_back(&reg.find(spec.property));
+    for (const auto& name : spec.mix) defs.push_back(&reg.find(name));
+  }
+  const bool any_omp =
+      std::any_of(defs.begin(), defs.end(),
+                  [](const gen::PropertyDef* d) { return d->uses_openmp; });
+  const auto body = [&](core::PropCtx& ctx) {
+    if (spec.mode == ProgramMode::kSplit) {
+      core::CompositeParams params;
+      params.basework = static_cast<double>(spec.basework_us) * 1e-6;
+      params.extrawork = static_cast<double>(spec.delay_us) * 1e-6;
+      params.repeats = spec.repeats;
+      core::run_split_communicator_program(ctx, params);
+    }
+    for (const gen::PropertyDef* def : defs) {
+      def->invoke(ctx, params_for(*def, spec));
+    }
+    inject_coll_defect(spec, ctx);
+  };
+
   // Record straight into the result so a run that ends in a deadlock or an
   // MpiError still leaves the events up to the failure behind — injected
   // collective defects are diagnosed from exactly this salvaged trace.
-  opt.external_trace = &res.trace;
-
   try {
-    auto result = mpi::run_mpi(opt, [&](mpi::Proc& p) {
-      if (spec.mode == ProgramMode::kSplit) {
-        core::CompositeParams params;
-        params.basework = static_cast<double>(spec.basework_us) * 1e-6;
-        params.extrawork = static_cast<double>(spec.delay_us) * 1e-6;
-        params.repeats = spec.repeats;
-        core::PropCtx ctx = core::PropCtx::from(p);
-        core::run_split_communicator_program(ctx, params);
-      } else {
-        invoke_members(spec, p, cfg);
-      }
-      inject_coll_defect(spec, p);
-    });
-    res.fault_report = result.fault_report;
-  } catch (const DeadlockError& e) {
-    res.outcome = RunOutcome::kDeadlock;
-    res.error = first_line(e.what());
-  } catch (const HangError& e) {
-    res.outcome = RunOutcome::kHang;
-    res.error = first_line(e.what());
-  } catch (const MpiError& e) {
-    res.outcome = RunOutcome::kMpiError;
-    res.error = first_line(e.what());
-  } catch (const OmpError& e) {
-    res.outcome = RunOutcome::kMpiError;
-    res.error = first_line(e.what());
-  } catch (const UsageError&) {
-    throw;  // spec misuse (unknown property, bad params) is the caller's bug
+    res.fault_report = gen::run_ranks(cfg, any_omp, res.trace, body);
   } catch (const std::exception& e) {
-    res.unclassified = true;
-    res.error = first_line(e.what());
+    std::optional<gen::RunFailure> failure = gen::classify_run_failure(e);
+    if (failure) {
+      res.outcome = failure->outcome;
+      res.error = std::move(failure->error);
+    } else if (dynamic_cast<const UsageError*>(&e) != nullptr) {
+      throw;  // spec misuse (unknown property, bad params) is the caller's bug
+    } else {
+      res.unclassified = true;
+      res.error = first_line(e.what());
+    }
   }
   return res;
 }

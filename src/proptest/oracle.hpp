@@ -77,7 +77,7 @@ struct RunResult {
   bool unclassified = false;
   std::string error;   ///< first line of the exception, when any
   /// Complete when outcome == kOk; otherwise the partial trace salvaged up
-  /// to the failure (MpiRunOptions::external_trace), which is what the
+  /// to the failure (gen::run_ranks records into it), which is what the
   /// structural collective checker inspects for injected-defect specs.
   trace::Trace trace;
   mpi::RankFaultReport fault_report;

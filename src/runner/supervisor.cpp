@@ -1,6 +1,7 @@
 #include "runner/supervisor.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <mutex>
 #include <sstream>
 
@@ -25,6 +26,15 @@ std::string sanitize(std::string s) {
     if (c == '\t' || c == '\n' || c == '\r') c = ' ';
   }
   return s;
+}
+
+/// Parses all of `s` as an integer: no sign on unsigned types, no
+/// surrounding blanks, no trailing characters.
+template <typename T>
+bool parse_whole(const std::string& s, T* out, int base = 10) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out, base);
+  return ec == std::errc() && ptr == end;
 }
 
 bool parse_outcome(const std::string& s, RunOutcome* out) {
@@ -60,24 +70,26 @@ bool parse_journal_row(const std::string& line, std::uint64_t fp,
                        std::size_t* index, ExperimentRow* row) {
   const std::vector<std::string> f = split(line, '\t');
   if (f.size() != 10) return false;
-  try {
-    if (std::stoull(f[0], nullptr, 16) != fp) return false;
-    *index = std::stoull(f[1]);
-    ExperimentRow r;
-    r.value = f[2];
-    r.severity = VDur::nanos(std::stoll(f[3]));
-    r.detected = f[4] == "1";
-    r.dominant = f[5];
-    r.total_time = VDur::nanos(std::stoll(f[6]));
-    if (!parse_outcome(f[7], &r.outcome)) return false;
-    r.attempts = std::stoi(f[8]);
-    r.note = f[9];
-    r.fraction = r.total_time > VDur::zero() ? r.severity / r.total_time : 0.0;
-    *row = std::move(r);
-    return true;
-  } catch (const std::exception&) {
+  std::uint64_t key = 0;
+  std::size_t idx = 0;
+  std::int64_t severity_ns = 0, total_ns = 0;
+  ExperimentRow r;
+  if (!parse_whole(f[0], &key, 16) || key != fp || !parse_whole(f[1], &idx) ||
+      !parse_whole(f[3], &severity_ns) || (f[4] != "0" && f[4] != "1") ||
+      !parse_whole(f[6], &total_ns) || !parse_outcome(f[7], &r.outcome) ||
+      !parse_whole(f[8], &r.attempts) || r.attempts < 1) {
     return false;
   }
+  r.value = f[2];
+  r.severity = VDur::nanos(severity_ns);
+  r.detected = f[4] == "1";
+  r.dominant = f[5];
+  r.total_time = VDur::nanos(total_ns);
+  r.note = f[9];
+  r.fraction = r.total_time > VDur::zero() ? r.severity / r.total_time : 0.0;
+  *index = idx;
+  *row = std::move(r);
+  return true;
 }
 
 namespace {

@@ -12,8 +12,10 @@
 //   * a crash-safe journal of completed cells, so an interrupted sweep can
 //     be resumed without re-simulating finished work.
 //
-// Clean sweeps produce exactly the rows (and therefore the CSV/table
-// bytes) that gen::run_experiment produces unsupervised.
+// run_sweep is the one sweep loop.  With every budget zero (and the default
+// single attempt, no journal) it is exactly the unsupervised sweep: each
+// row is gen::run_experiment_cell's; a clean sweep produces the same rows,
+// and therefore the same CSV/table bytes, under any budgets.
 #pragma once
 
 #include <chrono>
@@ -53,8 +55,9 @@ struct SupervisorOptions {
   /// Journal file: completed cells are appended as they finish, each
   /// append persisted crash-consistently (write-to-temp + atomic rename,
   /// see common/fsatomic.hpp) so a sweep killed mid-write never leaves a
-  /// torn journal line for --resume to misparse.  Empty = no journal.
-  std::string journal_path;
+  /// torn journal line for a resumed sweep to misparse.  Empty = no
+  /// journal.
+  std::string journal_path{};
   /// Load journaled cells (matching this plan's fingerprint) instead of
   /// re-running them.
   bool resume = false;
@@ -73,10 +76,10 @@ class SupervisedRunner {
                               const gen::PropertyDef& def,
                               const std::string& value) const;
 
-  /// Runs the whole sweep (parallel per plan.jobs, like
-  /// gen::run_experiment), journaling completed cells and skipping
-  /// journaled ones when resuming.  Never throws for runtime faults; rows
-  /// carry the outcome.
+  /// Runs the whole sweep, one row per axis value in order, cells in
+  /// parallel per plan.jobs (the rows do not depend on the worker count),
+  /// journaling completed cells and skipping journaled ones when resuming.
+  /// Never throws for runtime faults; rows carry the outcome.
   std::vector<gen::ExperimentRow> run_sweep(const gen::ExperimentPlan& plan) const;
 
   /// Stable 64-bit fingerprint of everything that determines a sweep's
@@ -104,7 +107,10 @@ std::string format_journal_row(std::uint64_t fp, std::size_t index,
 
 /// Parses a journal line keyed by `fp`.  Returns false (and leaves the
 /// outputs untouched) for torn, malformed, or differently-keyed lines —
-/// resume and cache loads skip those instead of failing.
+/// resume and cache loads skip those instead of failing.  Every numeric
+/// field must be an integer over the whole field (no sign on the index,
+/// no blanks, no trailing characters), `detected` 0 or 1 and `attempts`
+/// at least 1.
 bool parse_journal_row(const std::string& line, std::uint64_t fp,
                        std::size_t* index, gen::ExperimentRow* row);
 

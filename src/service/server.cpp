@@ -39,14 +39,6 @@ std::string hex64(std::uint64_t v) {
   return os.str();
 }
 
-/// First line of a (possibly multi-line) error message, protocol-safe.
-std::string first_line(const char* what) {
-  std::string s(what);
-  const auto nl = s.find('\n');
-  if (nl != std::string::npos) s.resize(nl);
-  return s;
-}
-
 /// Writes all of `data` to `fd`, ignoring SIGPIPE (EPIPE just fails).
 bool write_all(int fd, std::string_view data) {
   std::size_t off = 0;
@@ -539,7 +531,7 @@ std::string Server::execute_analyze_or_sweep(const QueuedRequest& task) {
           {"attempts", std::to_string(row.attempts)},
           {"fp", hex64(fp)},
       };
-      if (!row.note.empty()) kv.emplace_back("msg", first_line(row.note.c_str()));
+      if (!row.note.empty()) kv.emplace_back("msg", first_line(row.note));
       return format_fields(Status::kOk, kv);
     }
   }

@@ -3,6 +3,7 @@
 
 #include "common/strutil.hpp"
 #include "gen/experiment.hpp"
+#include "test_util.hpp"
 
 namespace ats::gen {
 namespace {
@@ -14,7 +15,7 @@ TEST(Experiment, SweepOverPropertyParameter) {
   plan.base.set("r", "2");
   plan.axis = {"extrawork", {"0.01", "0.02", "0.04"}};
   plan.config.nprocs = 4;
-  const auto rows = run_experiment(plan);
+  const auto rows = testutil::plain_sweep(plan);
   ASSERT_EQ(rows.size(), 3u);
   for (const auto& r : rows) {
     EXPECT_TRUE(r.detected) << r.value;
@@ -32,7 +33,7 @@ TEST(Experiment, SweepOverProcessCount) {
   plan.base.set("df", "linear:low=0.01,high=0.05");
   plan.base.set("r", "2");
   plan.axis = {"np", {"2", "4", "8"}};
-  const auto rows = run_experiment(plan);
+  const auto rows = testutil::plain_sweep(plan);
   ASSERT_EQ(rows.size(), 3u);
   for (const auto& r : rows) EXPECT_TRUE(r.detected) << "np=" << r.value;
   // More ranks waiting -> more total severity.
@@ -45,7 +46,7 @@ TEST(Experiment, NegativePropertySweepNeverDetects) {
   plan.property = "balanced_mpi_stencil";
   plan.axis = {"work", {"0.01", "0.05"}};
   plan.config.nprocs = 4;
-  const auto rows = run_experiment(plan);
+  const auto rows = testutil::plain_sweep(plan);
   for (const auto& r : rows) {
     EXPECT_FALSE(r.detected);
     EXPECT_EQ(r.severity, VDur::zero());
@@ -58,7 +59,7 @@ TEST(Experiment, CrippledAnalyzerSweepShowsMisses) {
   plan.axis = {"extrawork", {"0.05"}};
   plan.config.nprocs = 4;
   plan.analyzer.disabled_patterns = {analyze::PropertyId::kLateSender};
-  const auto rows = run_experiment(plan);
+  const auto rows = testutil::plain_sweep(plan);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_FALSE(rows[0].detected);
   EXPECT_EQ(rows[0].severity, VDur::zero());
@@ -69,7 +70,7 @@ TEST(Experiment, CsvFormat) {
   plan.property = "late_sender";
   plan.axis = {"extrawork", {"0.02", "0.04"}};
   plan.config.nprocs = 4;
-  const auto rows = run_experiment(plan);
+  const auto rows = testutil::plain_sweep(plan);
   const std::string csv = experiment_csv(plan, rows);
   const auto lines = split(csv, '\n');
   ASSERT_GE(lines.size(), 3u);
@@ -84,7 +85,7 @@ TEST(Experiment, TableFormat) {
   plan.property = "late_sender";
   plan.axis = {"extrawork", {"0.02"}};
   plan.config.nprocs = 4;
-  const auto rows = run_experiment(plan);
+  const auto rows = testutil::plain_sweep(plan);
   const std::string table = experiment_table(plan, rows);
   EXPECT_NE(table.find("sweep of 'late_sender'"), std::string::npos);
   EXPECT_NE(table.find("yes"), std::string::npos);
@@ -98,7 +99,7 @@ TEST(Experiment, FailedCellsDegradeToOutcomeRows) {
   plan.axis = {"extrawork", {"0.02", "0.04"}};
   plan.config.nprocs = 4;
   plan.config.faults.crash(0, VTime::zero());
-  const auto rows = run_experiment(plan);
+  const auto rows = testutil::plain_sweep(plan);
   ASSERT_EQ(rows.size(), 2u);
   for (const auto& r : rows) {
     EXPECT_EQ(r.outcome, RunOutcome::kMpiError);
@@ -116,7 +117,7 @@ TEST(Experiment, OutcomeColumnAppearsOnlyWhenSomeCellFailed) {
   plan.axis = {"extrawork", {"0.02"}};
   plan.config.nprocs = 4;
 
-  const auto clean = run_experiment(plan);
+  const auto clean = testutil::plain_sweep(plan);
   EXPECT_FALSE(any_cell_failed(clean));
   const std::string clean_csv = experiment_csv(plan, clean);
   EXPECT_EQ(split(clean_csv, '\n')[0],
@@ -126,7 +127,7 @@ TEST(Experiment, OutcomeColumnAppearsOnlyWhenSomeCellFailed) {
             std::string::npos);
 
   plan.config.faults.crash(0, VTime::zero());
-  const auto failed = run_experiment(plan);
+  const auto failed = testutil::plain_sweep(plan);
   const std::string csv = experiment_csv(plan, failed);
   const auto lines = split(csv, '\n');
   EXPECT_EQ(lines[0],
@@ -143,7 +144,7 @@ TEST(Experiment, PathologicalEntriesClassifiedNotThrown) {
   plan.property = "pathological_deadlock";
   plan.axis = {"tag", {"0"}};
   plan.config.nprocs = 2;
-  const auto rows = run_experiment(plan);
+  const auto rows = testutil::plain_sweep(plan);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].outcome, RunOutcome::kDeadlock);
   EXPECT_NE(rows[0].note.find("simulated deadlock"), std::string::npos);
@@ -164,12 +165,12 @@ TEST(Experiment, RegistrySeparatesSafeFromPathologicalNames) {
 TEST(Experiment, ErrorsOnBadPlans) {
   ExperimentPlan plan;
   plan.property = "late_sender";
-  EXPECT_THROW(run_experiment(plan), UsageError);  // no axis
+  EXPECT_THROW(testutil::plain_sweep(plan), UsageError);  // no axis
   plan.axis = {"extrawork", {}};
-  EXPECT_THROW(run_experiment(plan), UsageError);  // no values
+  EXPECT_THROW(testutil::plain_sweep(plan), UsageError);  // no values
   plan.axis = {"extrawork", {"0.01"}};
   plan.property = "nope";
-  EXPECT_THROW(run_experiment(plan), UsageError);  // unknown property
+  EXPECT_THROW(testutil::plain_sweep(plan), UsageError);  // unknown property
 }
 
 }  // namespace

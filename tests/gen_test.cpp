@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <typeinfo>
 
 #include "gen/registry.hpp"
 #include "gen/source_gen.hpp"
@@ -207,6 +209,57 @@ TEST(ExitCodes, HelpTextRendersEveryRow) {
     EXPECT_NE(help.find(e.name), std::string::npos) << e.name;
     EXPECT_NE(help.find(e.meaning), std::string::npos) << e.name;
   }
+}
+
+/// A one-rank property whose body throws `E` with a multi-line message.
+template <typename E>
+PropertyDef throwing_def(const std::string& what) {
+  PropertyDef def;
+  def.name = "throws";
+  def.invoke = [what](core::PropCtx&, const ParamMap&) { throw E(what); };
+  return def;
+}
+
+/// Classifies E(what) directly and through a salvaged run whose rank body
+/// throws it: a classified exception yields its outcome and first line, an
+/// unclassified one yields nullopt and is rethrown unchanged by the run.
+template <typename E>
+void expect_classified(std::optional<RunOutcome> want) {
+  const std::string what = "first line\n  rank 0: blocked in MPI_Recv\n";
+  const std::optional<RunFailure> got = classify_run_failure(E(what));
+  RunConfig cfg;
+  cfg.nprocs = 1;
+  if (want) {
+    ASSERT_TRUE(got.has_value()) << typeid(E).name();
+    EXPECT_EQ(got->outcome, *want) << typeid(E).name();
+    EXPECT_EQ(got->error, "first line");
+    const SalvagedRun run =
+        run_single_property_salvaged(throwing_def<E>(what), {}, cfg);
+    EXPECT_EQ(run.outcome, *want) << typeid(E).name();
+    EXPECT_EQ(run.error, "first line");
+    EXPECT_GT(run.trace.event_count(), 0u);  // MPI_Init survives the throw
+    return;
+  }
+  EXPECT_FALSE(got.has_value()) << typeid(E).name();
+  try {
+    (void)run_single_property_salvaged(throwing_def<E>(what), {}, cfg);
+    ADD_FAILURE() << typeid(E).name() << " was not rethrown";
+  } catch (const std::exception& e) {
+    EXPECT_EQ(typeid(e), typeid(E));
+    EXPECT_EQ(std::string(e.what()), what);
+  }
+}
+
+TEST(RunFailure, ClassifierTable) {
+  expect_classified<DeadlockError>(RunOutcome::kDeadlock);
+  expect_classified<HangError>(RunOutcome::kHang);
+  // MpiError and OmpError derive from UsageError; they classify, plain
+  // UsageError (caller misuse) does not.
+  expect_classified<MpiError>(RunOutcome::kMpiError);
+  expect_classified<OmpError>(RunOutcome::kMpiError);
+  expect_classified<TraceError>(std::nullopt);
+  expect_classified<UsageError>(std::nullopt);
+  expect_classified<std::runtime_error>(std::nullopt);
 }
 
 }  // namespace

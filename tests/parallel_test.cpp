@@ -11,6 +11,7 @@
 
 #include "common/parallel.hpp"
 #include "gen/experiment.hpp"
+#include "test_util.hpp"
 
 namespace ats {
 namespace {
@@ -74,6 +75,7 @@ TEST(ThreadPool, DefaultJobsIsPositive) {
   EXPECT_GE(par::default_jobs(), 1);
 }
 
+
 gen::ExperimentPlan small_plan(int jobs) {
   gen::ExperimentPlan plan;
   plan.property = "late_sender";
@@ -90,11 +92,11 @@ TEST(ParallelExperiment, CsvBitIdenticalToSequential) {
   // multi-threaded sweep is byte-identical to the forced-sequential
   // (pool size 1) reference.
   const gen::ExperimentPlan seq = small_plan(1);
-  const auto seq_rows = run_experiment(seq);
+  const auto seq_rows = testutil::plain_sweep(seq);
   const std::string seq_csv = experiment_csv(seq, seq_rows);
   for (int jobs : {2, 4, 7}) {
     const gen::ExperimentPlan par_plan = small_plan(jobs);
-    const auto par_rows = run_experiment(par_plan);
+    const auto par_rows = testutil::plain_sweep(par_plan);
     EXPECT_EQ(experiment_csv(par_plan, par_rows), seq_csv)
         << "jobs=" << jobs;
     ASSERT_EQ(par_rows.size(), seq_rows.size());
@@ -118,16 +120,16 @@ TEST(ParallelExperiment, NpAxisBitIdenticalToSequential) {
   plan.base.set("r", "2");
   plan.axis = {"np", {"2", "4", "8"}};
   plan.jobs = 1;
-  const auto seq_rows = run_experiment(plan);
+  const auto seq_rows = testutil::plain_sweep(plan);
   plan.jobs = 3;
-  const auto par_rows = run_experiment(plan);
+  const auto par_rows = testutil::plain_sweep(plan);
   EXPECT_EQ(experiment_csv(plan, par_rows), experiment_csv(plan, seq_rows));
 }
 
 TEST(ParallelExperiment, ExceptionInCellPropagates) {
   gen::ExperimentPlan plan = small_plan(2);
   plan.property = "no_such_property_function";
-  EXPECT_THROW(run_experiment(plan), ats::Error);
+  EXPECT_THROW(testutil::plain_sweep(plan), ats::Error);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "proptest/oracle.hpp"
 #include "report/cube_view.hpp"
 #include "runner/supervisor.hpp"
+#include "test_util.hpp"
 
 namespace ats {
 namespace {
@@ -251,7 +252,7 @@ TEST(OutputStability, SupervisedCleanSweepMatchesPlainRows) {
   plan.property = "late_sender";
   plan.axis = {"extrawork", {"0.02", "0.05"}};
   plan.jobs = 1;
-  const auto plain = gen::run_experiment(plan);
+  const auto plain = testutil::cell_rows(plan);
   runner::SupervisorOptions sup;
   sup.retry.max_attempts = 3;
   sup.retry.perturb_seed = true;

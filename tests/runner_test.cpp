@@ -9,6 +9,7 @@
 
 #include "common/strutil.hpp"
 #include "runner/supervisor.hpp"
+#include "test_util.hpp"
 
 namespace ats::runner {
 namespace {
@@ -35,7 +36,7 @@ std::string temp_journal(const char* tag) {
 TEST(Runner, CleanSupervisedSweepMatchesPlainSweep) {
   // Supervision must be invisible on healthy sweeps: same rows, same bytes.
   const ExperimentPlan plan = late_sender_plan();
-  const auto plain = gen::run_experiment(plan);
+  const auto plain = testutil::cell_rows(plan);
   const auto supervised = SupervisedRunner().run_sweep(plan);
   EXPECT_EQ(gen::experiment_csv(plan, plain),
             gen::experiment_csv(plan, supervised));
@@ -305,6 +306,56 @@ TEST(Runner, JournalRowRoundTripsThroughTheSharedFormat) {
   EXPECT_EQ(parsed.note, row.note);
   // A row journaled under another plan must not parse for this one.
   EXPECT_FALSE(parse_journal_row(line, fp + 1, &index, &parsed));
+}
+
+TEST(Runner, JournalRowRejectsMalformedFields) {
+  // Every numeric field must parse as a whole; a line that only starts
+  // with a number, carries blanks or a sign where none belongs, or holds
+  // an impossible detected/attempts value is malformed, not a cached row.
+  ExperimentRow row;
+  row.value = "0.04";
+  row.severity = VDur::nanos(12);
+  row.dominant = "late sender";
+  row.total_time = VDur::nanos(40);
+  const std::uint64_t fp = 0xdeadbeefcafef00dULL;
+  const std::vector<std::string> good =
+      split(format_journal_row(fp, 7, row), '\t');
+  ASSERT_EQ(good.size(), 10u);
+  const struct {
+    std::size_t field;
+    const char* text;
+  } bad[] = {
+      {1, "7junk"},  // index with trailing characters
+      {1, "-1"},     // negative index
+      {1, " 7"},     // leading blank
+      {1, ""},       // empty index
+      {3, " 12"},    // severity with a leading blank
+      {3, "12x"},    // severity with trailing characters
+      {6, "40 "},    // total with a trailing blank
+      {4, "2"},      // detected outside {0,1}
+      {4, "01"},     // detected not exactly 0 or 1
+      {8, "0"},      // no attempt at all
+      {8, "-3"},     // negative attempts
+      {8, "1.5"},    // fractional attempts
+      {0, "deadbeefcafef00dz"},  // key with trailing characters
+  };
+  for (const auto& b : bad) {
+    std::vector<std::string> f = good;
+    f[b.field] = b.text;
+    std::size_t index = 99;
+    ExperimentRow parsed;
+    parsed.note = "untouched";
+    EXPECT_FALSE(parse_journal_row(join(f, "\t"), fp, &index, &parsed))
+        << "field " << b.field << " = '" << b.text << "'";
+    EXPECT_EQ(index, 99u);
+    EXPECT_EQ(parsed.note, "untouched");
+  }
+  std::size_t index = 0;
+  ExperimentRow parsed;
+  ASSERT_TRUE(parse_journal_row(join(good, "\t"), fp, &index, &parsed));
+  EXPECT_EQ(index, 7u);
+  EXPECT_EQ(parsed.severity.ns(), 12);
+  EXPECT_EQ(parsed.attempts, 1);
 }
 
 TEST(Runner, ResumeToleratesTornTrailingJournalLine) {

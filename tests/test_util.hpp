@@ -1,5 +1,6 @@
 // Shared helpers for ATS tests: zero-overhead cost models so virtual-time
-// assertions are exact, and one-call runners for property functions.
+// assertions are exact, and one-call runners for property functions and
+// experiment plans.
 #pragma once
 
 #include <vector>
@@ -9,6 +10,7 @@
 #include "core/properties.hpp"
 #include "mpisim/world.hpp"
 #include "ompsim/omp.hpp"
+#include "runner/supervisor.hpp"
 #include "trace/trace.hpp"
 
 namespace ats::testutil {
@@ -78,6 +80,26 @@ inline trace::Trace run_prop_omp(
                         body(pc);
                       })
       .trace;
+}
+
+/// The plain sweep: SupervisedRunner::run_sweep with every budget zero.
+inline std::vector<gen::ExperimentRow> plain_sweep(
+    const gen::ExperimentPlan& plan) {
+  return runner::SupervisedRunner(
+             {.virtual_time_limit = VDur::zero(), .yield_limit = 0})
+      .run_sweep(plan);
+}
+
+/// The rows of `plan` from one gen::run_experiment_cell per axis value, in
+/// order: the unsupervised cell path with no sweep loop around it.
+inline std::vector<gen::ExperimentRow> cell_rows(
+    const gen::ExperimentPlan& plan) {
+  const gen::PropertyDef& def = gen::Registry::instance().find(plan.property);
+  std::vector<gen::ExperimentRow> rows;
+  for (const std::string& v : plan.axis.values) {
+    rows.push_back(gen::run_experiment_cell(plan, def, v));
+  }
+  return rows;
 }
 
 /// Every event of `t` in the analyzer's merge order (Trace::for_each_merged).
