@@ -1,19 +1,23 @@
 // MICRO — google-benchmark microbenchmarks of the substrate: scheduler
-// handoff cost, engine set-up and teardown, p2p message rate (eager and rendezvous), collective rate
-// (all-to-all and rooted skeletons), trace recording and serialisation,
-// distribution evaluation, analyzer replay rate.  These quantify the
+// handoff cost, engine set-up and teardown, p2p message rate (eager and
+// rendezvous), collective rate (all-to-all and rooted skeletons), trace
+// recording and serialisation, distribution evaluation, analyzer replay
+// rate, and one whole sweep cell with its page faults.  These quantify the
 // simulator's own performance (events/second), which bounds how large a
 // synthetic test program the suite can generate per second of host time.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "analyzer/analyzer.hpp"
 #include "core/distribution.hpp"
 #include "core/properties.hpp"
 #include "gen/experiment.hpp"
+#include "gen/registry.hpp"
 #include "mpisim/world.hpp"
 #include "report/timeline.hpp"
 #include "runner/supervisor.hpp"
@@ -360,6 +364,40 @@ BENCHMARK(BM_ExperimentGrid)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+/// Minor page faults of this process so far.
+double minor_faults() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_minflt);
+}
+
+// One sweep cell, as the perfbench `sweep` workload runs it (a one-cell
+// plan through the supervised runner: simulate, analyze, classify), back
+// to back on one thread.  The collective cells at np 64 allocate megabytes
+// of simulated-MPI buffers per cell; `faults_per_cell` counts the cell's
+// minor page faults.
+void BM_PropertyCell(benchmark::State& state, const char* property) {
+  const gen::PropertyDef& def = gen::Registry::instance().find(property);
+  gen::ExperimentPlan plan;
+  plan.property = property;
+  plan.base = def.positive;
+  plan.axis = {"np", {std::to_string(state.range(0))}};
+  plan.jobs = 1;
+  const runner::SupervisedRunner sup;
+  const double faults0 = minor_faults();
+  for (auto _ : state) {
+    const auto rows = sup.run_sweep(plan);
+    benchmark::DoNotOptimize(rows.size());
+  }
+  state.counters["faults_per_cell"] = benchmark::Counter(
+      minor_faults() - faults0, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK_CAPTURE(BM_PropertyCell, imbalance_at_mpi_alltoall,
+                  "imbalance_at_mpi_alltoall")
+    ->ArgName("np")
+    ->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 void BM_TraceSerialise(benchmark::State& state) {

@@ -7,7 +7,11 @@
 // table measures that claim: the same clean sweep through
 // SupervisedRunner::run_sweep with every budget zero (the unsupervised
 // baseline) and with the default budgets (with and without a journal),
-// repeated and compared on median wall time.
+// repeated in rounds.  The sweep takes ~20 ms in Release, long enough for
+// a 2% difference to stand above timer and scheduler noise; within a round
+// the baseline and the supervised run alternate which goes first, so
+// neither always runs on the warmer cache; and each overhead is the median
+// over rounds of the relative difference to the round's baseline.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -21,7 +25,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double median_ms(std::vector<double> v) {
+double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
 }
@@ -43,9 +47,10 @@ int main() {
   gen::ExperimentPlan plan;
   plan.property = "late_sender";
   plan.base.set("basework", "0.01");
-  plan.base.set("r", "3");
-  plan.axis = {"extrawork", {"0.01", "0.02", "0.03", "0.04"}};
-  plan.config.nprocs = 4;
+  plan.base.set("r", "40");
+  plan.axis = {"extrawork", {"0.01", "0.02", "0.03", "0.04", "0.05", "0.06",
+                             "0.07", "0.08"}};
+  plan.config.nprocs = 64;
   plan.jobs = 1;  // sequential: timing reflects per-cell cost, not pool luck
 
   const std::string journal =
@@ -67,21 +72,40 @@ int main() {
   const bool identical = gen::experiment_csv(plan, plain_rows) ==
                          gen::experiment_csv(plan, sup_rows);
 
-  constexpr int kReps = 7;
+  constexpr int kReps = 61;
   std::vector<double> plain_ms, sup_ms, jrn_ms;
-  for (int i = 0; i < kReps; ++i) {
+  const auto time_plain = [&] {
     plain_ms.push_back(time_ms([&] { unsupervised.run_sweep(plan); }));
+  };
+  const auto time_sup = [&] {
     sup_ms.push_back(time_ms([&] { supervised.run_sweep(plan); }));
+  };
+  for (int i = 0; i < kReps; ++i) {
+    if (i % 2 == 0) {
+      time_plain();
+      time_sup();
+    } else {
+      time_sup();
+      time_plain();
+    }
     std::remove(journal.c_str());
     jrn_ms.push_back(time_ms([&] { journaled.run_sweep(plan); }));
   }
   std::remove(journal.c_str());
 
-  const double plain = median_ms(plain_ms);
-  const double sup = median_ms(sup_ms);
-  const double jrn = median_ms(jrn_ms);
-  const double sup_ovh = 100.0 * (sup - plain) / plain;
-  const double jrn_ovh = 100.0 * (jrn - plain) / plain;
+  // A round's runs are adjacent in time, so a slow spell of the host moves
+  // both and cancels out of the round's relative difference.
+  std::vector<double> sup_rel, jrn_rel;
+  for (int i = 0; i < kReps; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    sup_rel.push_back(100.0 * (sup_ms[k] - plain_ms[k]) / plain_ms[k]);
+    jrn_rel.push_back(100.0 * (jrn_ms[k] - plain_ms[k]) / plain_ms[k]);
+  }
+  const double plain = median(plain_ms);
+  const double sup = median(sup_ms);
+  const double jrn = median(jrn_ms);
+  const double sup_ovh = median(sup_rel);
+  const double jrn_ovh = median(jrn_rel);
 
   std::printf("%-34s %12s %12s\n", "configuration", "median ms", "overhead");
   std::printf("%s\n", std::string(60, '-').c_str());

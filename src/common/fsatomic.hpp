@@ -1,27 +1,27 @@
-// Crash-consistent file primitives (write-to-temp + atomic rename).
+// Crash-consistent file primitives.
 //
 // Several layers persist state that must survive an unceremonious kill —
 // the supervised runner's sweep journal (resumed when
 // SupervisorOptions::resume is set), and the analysis service's result
-// cache and in-flight request table (reloaded on daemon restart).  A plain
-// appending ofstream can be interrupted mid-line, leaving a torn record
-// that a later load misparses or silently drops together with everything
-// after it.  The primitives here guarantee that a
-// reader only ever observes a file that some writer produced in full:
+// cache and in-flight request table (reloaded on daemon restart).  A kill
+// can interrupt a write mid-line, leaving a torn record that a later load
+// must neither misparse nor let a later write extend.  The primitives here
+// guarantee that a reader only ever sees complete lines:
 //
 //   * atomic_write_file(): the POSIX temp-file-in-same-directory + fsync +
 //     rename(2) dance.  rename is atomic on every POSIX filesystem, so a
 //     crash at any instant leaves either the old file or the new one,
 //     never a mixture and never a half-written line.
-//   * AtomicJournal: a line-oriented journal maintained with that
-//     primitive.  Every append rewrites the journal through a temp file
-//     and renames it into place, so the on-disk journal always consists
-//     of complete lines.  Loading tolerates a torn trailing line (from a
-//     file produced by other means) by dropping it.
+//   * AtomicJournal: a line-oriented, append-only journal.  An append
+//     writes its one line with O_APPEND and fdatasyncs it, so its cost
+//     does not grow with the journal.  A kill mid-append can leave a torn
+//     last line; loading cuts the file back to its last newline, so the
+//     fragment is dropped and the next append starts a line of its own.
+//     Compaction (rewrite) replaces the file through atomic_write_file.
 //
 // Single-writer: one process (one AtomicJournal instance) owns a journal
-// file at a time.  Concurrent writers would race the rename; readers are
-// always safe.
+// file at a time.  Concurrent writers would interleave appends and race
+// the rename; readers are always safe.
 #pragma once
 
 #include <string>
@@ -39,14 +39,11 @@ void atomic_write_file(const std::string& path, std::string_view content);
 /// A crash-consistent, line-oriented journal.
 ///
 /// Construction loads the existing file (if any): complete lines are kept
-/// verbatim, a torn trailing fragment without a final newline is dropped.
-/// append() adds one line and persists the whole journal via
-/// atomic_write_file, so a kill at any point leaves the previous complete
-/// journal on disk.  rewrite() replaces the content wholesale (compaction).
-///
-/// Journals here are small — one short line per completed sweep cell or
-/// in-flight request — so the rewrite-per-append cost is noise next to the
-/// simulation each line represents (see bench/tab_runner_overhead).
+/// verbatim, and a torn trailing fragment without a final newline is
+/// dropped and cut from the file.  append() writes one line at the end of
+/// the file and fdatasyncs it; a kill at any point leaves the earlier
+/// lines intact.  rewrite() replaces the content wholesale (compaction)
+/// via atomic_write_file.
 class AtomicJournal {
  public:
   /// Loads `path` if it exists.  An empty path produces an in-memory
@@ -57,17 +54,17 @@ class AtomicJournal {
   /// Lines currently in the journal (loaded + appended), in order.
   const std::vector<std::string>& lines() const { return lines_; }
 
-  /// Appends one line (must not contain '\n') and persists atomically.
+  /// Appends one line (must not contain '\n') and makes it durable.
   void append(std::string line);
 
   /// Replaces the journal content and persists atomically.
   void rewrite(std::vector<std::string> lines);
 
  private:
-  void persist() const;
-
   std::string path_;
   std::vector<std::string> lines_;
+  /// Whether the file's directory entry is known to be durable.
+  bool on_disk_ = false;
 };
 
 }  // namespace ats

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -17,6 +18,36 @@
 #include "mpisim/datatype.hpp"
 
 namespace ats::core {
+
+/// Zero-initialised, move-only byte storage of a fixed size.  Requests of
+/// kLargeBytes and more take a power-of-two mmap block from the cache: a
+/// fresh one is used as mapped (zero, resident only where written), a
+/// cached one is zeroed over the requested length.  A released block is
+/// cached, ASan-poisoned, while cached and live blocks stay within
+/// kCacheCapBytes, else unmapped.  Smaller requests are plain heap memory.
+/// MpiBuf and both MpiVBuf buffers keep their bytes here.
+class ZeroedBytes {
+ public:
+  /// Requests from this size on come from the block cache.
+  static constexpr std::size_t kLargeBytes = std::size_t{64} << 10;
+  /// Most bytes of cached and live blocks together (DESIGN.md §12).
+  static constexpr std::size_t kCacheCapBytes = std::size_t{24} << 20;
+
+  explicit ZeroedBytes(std::size_t bytes);
+
+  std::byte* data() const { return data_.get(); }
+  std::size_t size() const { return data_.get_deleter().bytes; }
+
+  /// Bytes of released blocks the cache holds now.
+  static std::size_t cached_bytes();
+
+ private:
+  struct Release {
+    std::size_t bytes;
+    void operator()(std::byte* p) const;
+  };
+  std::unique_ptr<std::byte, Release> data_;
+};
 
 /// A typed element buffer for simulated-MPI communication.
 class MpiBuf {
@@ -46,7 +77,7 @@ class MpiBuf {
  private:
   mpi::Datatype type_;
   int count_;
-  std::vector<std::byte> storage_;
+  ZeroedBytes storage_;
 };
 
 /// Buffer for irregular collectives: per-rank counts from a distribution,
@@ -80,8 +111,8 @@ class MpiVBuf {
   int total_ = 0;
   std::vector<int> counts_;
   std::vector<int> displs_;
-  std::vector<std::byte> root_storage_;
-  std::vector<std::byte> my_storage_;
+  ZeroedBytes root_storage_{0};
+  ZeroedBytes my_storage_{0};
 };
 
 }  // namespace ats::core

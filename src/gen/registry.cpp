@@ -667,7 +667,7 @@ std::optional<RunFailure> classify_run_failure(const std::exception& e) {
   return std::nullopt;
 }
 
-mpi::RankFaultReport run_ranks(
+RanksRun run_ranks(
     const RunConfig& cfg, bool openmp, trace::Trace& trace,
     const std::function<void(core::PropCtx&)>& body) {
   mpi::MpiRunOptions opt;
@@ -683,7 +683,8 @@ mpi::RankFaultReport run_ranks(
     core::PropCtx ctx = core::PropCtx::from(p, rt ? &*rt : nullptr);
     body(ctx);
   };
-  return mpi::run_mpi(opt, bind).fault_report;
+  mpi::MpiRunResult r = mpi::run_mpi(opt, bind);
+  return {std::move(r.fault_report), r.stats};
 }
 
 namespace {

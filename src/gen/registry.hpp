@@ -192,12 +192,17 @@ struct RunFailure {
 /// the caller decides whether to rethrow it.
 std::optional<RunFailure> classify_run_failure(const std::exception& e);
 
+/// What a completed run_ranks call reports beside the trace.
+struct RanksRun {
+  mpi::RankFaultReport fault_report;  ///< what the armed rank faults did
+  simt::EngineStats stats;            ///< the engine's counters
+};
+
 /// Runs `body` on each of cfg.nprocs simulated ranks, bound to one PropCtx
 /// per rank (with an OpenMP runtime when `openmp`), recording into `trace`.
 /// The caller owns the trace, so the events recorded up to a failure
-/// survive the exception the run ends with.  Returns what the armed rank
-/// faults did.
-mpi::RankFaultReport run_ranks(
+/// survive the exception the run ends with.
+RanksRun run_ranks(
     const RunConfig& cfg, bool openmp, trace::Trace& trace,
     const std::function<void(core::PropCtx&)>& body);
 

@@ -316,7 +316,8 @@ RunResult run_program(const ProgramSpec& spec) {
   // MpiError still leaves the events up to the failure behind — injected
   // collective defects are diagnosed from exactly this salvaged trace.
   try {
-    res.fault_report = gen::run_ranks(cfg, any_omp, res.trace, body);
+    res.fault_report =
+        gen::run_ranks(cfg, any_omp, res.trace, body).fault_report;
   } catch (const std::exception& e) {
     std::optional<gen::RunFailure> failure = gen::classify_run_failure(e);
     if (failure) {

@@ -214,8 +214,8 @@ std::vector<ExperimentRow> SupervisedRunner::run_sweep(
 
   // The journal is loaded whether or not we resume: appends preserve any
   // existing lines (e.g. cells of a differently-fingerprinted sweep), and
-  // every append is persisted write-to-temp + atomic-rename so a kill at
-  // any instant leaves only complete lines behind (common/fsatomic.hpp).
+  // a kill at any instant leaves at most a torn last line, which the next
+  // load drops and cuts (common/fsatomic.hpp).
   AtomicJournal journal(opt_.journal_path);
 
   if (opt_.resume && !opt_.journal_path.empty()) {

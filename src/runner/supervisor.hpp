@@ -53,10 +53,9 @@ struct SupervisorOptions {
   std::chrono::milliseconds wall_clock_limit{0};
 
   /// Journal file: completed cells are appended as they finish, each
-  /// append persisted crash-consistently (write-to-temp + atomic rename,
-  /// see common/fsatomic.hpp) so a sweep killed mid-write never leaves a
-  /// torn journal line for a resumed sweep to misparse.  Empty = no
-  /// journal.
+  /// append one fdatasync'd line (common/fsatomic.hpp); a line torn by a
+  /// kill mid-write is dropped when the journal is loaded, never
+  /// misparsed by a resumed sweep.  Empty = no journal.
   std::string journal_path{};
   /// Load journaled cells (matching this plan's fingerprint) instead of
   /// re-running them.

@@ -14,12 +14,12 @@
 // simulation and N-1 waits (tested in tests/service_test.cpp).
 //
 // Persistence: completed rows append to a crash-consistent journal
-// (common/fsatomic.hpp: write-to-temp + atomic rename per append) in the
-// runner's journal-row format, so a killed daemon restarts warm — the
-// constructor reloads every complete line and a torn file is impossible
-// by construction.  Rows whose outcome depends on host wall clock
-// (RunOutcome::kHang) are never cached: a hang under one request's
-// deadline says nothing about a retry with a larger budget.
+// (common/fsatomic.hpp: one fdatasync'd line per append) in the runner's
+// journal-row format, so a killed daemon restarts warm — the constructor
+// reloads every complete line and drops a line torn by the kill.  Rows
+// whose outcome depends on host wall clock (RunOutcome::kHang) are never
+// cached: a hang under one request's deadline says nothing about a retry
+// with a larger budget.
 #pragma once
 
 #include <condition_variable>

@@ -16,8 +16,8 @@ std::string hex_id(std::uint64_t id) {
 }
 
 /// Parses "admit <hex> <line...>" / "done <hex>".  Returns false for
-/// anything else (torn files cannot happen — AtomicJournal — but a
-/// hand-edited one degrades gracefully).
+/// anything else (AtomicJournal drops a torn last line, but a hand-edited
+/// journal degrades gracefully).
 bool parse_entry(const std::string& line, bool* is_admit, std::uint64_t* id,
                  std::string* payload) {
   std::string rest;

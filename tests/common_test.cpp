@@ -1,5 +1,6 @@
 // Unit tests for common/: virtual time, RNG, stats, string helpers.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <bit>
 #include <cmath>
@@ -312,6 +313,11 @@ TEST(Error, HierarchyIsCatchable) {
 
 // ------------------------------------------------------------- fsatomic
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 TEST(FsAtomic, AtomicWriteFileCreatesAndReplaces) {
   const std::string path = testing::TempDir() + "ats_fsatomic_write.txt";
   std::remove(path.c_str());
@@ -349,11 +355,31 @@ TEST(FsAtomic, JournalDropsTornTrailingFragment) {
   }
   AtomicJournal j(path);
   EXPECT_EQ(j.lines(), (std::vector<std::string>{"complete line"}));
-  // Appending through the journal re-persists only intact lines.
+  // Loading cut the fragment from the file, so the append starts its own
+  // line instead of extending the fragment.
+  EXPECT_EQ(read_file(path), "complete line\n");
   j.append("appended");
+  EXPECT_EQ(read_file(path), "complete line\nappended\n");
   AtomicJournal reloaded(path);
   EXPECT_EQ(reloaded.lines(),
             (std::vector<std::string>{"complete line", "appended"}));
+  std::remove(path.c_str());
+}
+
+TEST(FsAtomic, JournalAppendExtendsTheSameFile) {
+  const std::string path = testing::TempDir() + "ats_fsatomic_append.txt";
+  std::remove(path.c_str());
+  AtomicJournal j(path);
+  j.append("one");
+  struct stat before {};
+  ASSERT_EQ(::stat(path.c_str(), &before), 0);
+  j.append("two");
+  struct stat after {};
+  ASSERT_EQ(::stat(path.c_str(), &after), 0);
+  // An append writes into the file in place; a rewrite would rename a new
+  // file over it.
+  EXPECT_EQ(after.st_ino, before.st_ino);
+  EXPECT_EQ(read_file(path), "one\ntwo\n");
   std::remove(path.c_str());
 }
 

@@ -15,10 +15,7 @@
 #include <sstream>
 #include <string>
 
-#include "core/propctx.hpp"
 #include "gen/registry.hpp"
-#include "mpisim/world.hpp"
-#include "ompsim/omp.hpp"
 #include "runner/supervisor.hpp"
 
 namespace {
@@ -27,27 +24,18 @@ using namespace ats;
 
 constexpr int kNps[] = {8, 64};
 
-/// One table line: the run of `def` that run_single_property would make,
-/// with the engine's counters, which that function does not return.
+/// One table line: the run of `def` that run_single_property makes, through
+/// the same gen::run_ranks, with the engine's counters it returns.
 std::string stats_line(const gen::PropertyDef& def, bool positive, int np) {
   const gen::ParamMap& pm = positive ? def.positive : def.negative;
-  const gen::RunConfig cfg;
-  mpi::MpiRunOptions opt;
-  opt.nprocs = np;
-  opt.cost = cfg.mpi_cost;
-  opt.engine = cfg.engine;
-  const mpi::MpiRunResult r = mpi::run_mpi(opt, [&](mpi::Proc& p) {
-    if (def.uses_openmp) {
-      omp::Runtime rt(p.world().trace(), cfg.omp_cost);
-      core::PropCtx ctx = core::PropCtx::from(p, &rt);
-      def.invoke(ctx, pm);
-    } else {
-      core::PropCtx ctx = core::PropCtx::from(p);
-      def.invoke(ctx, pm);
-    }
-  });
+  gen::RunConfig cfg;
+  cfg.nprocs = np;
+  trace::Trace trace;
+  const gen::RanksRun r =
+      gen::run_ranks(cfg, def.uses_openmp, trace,
+                     [&](core::PropCtx& ctx) { def.invoke(ctx, pm); });
   std::ostringstream trace_text;
-  r.trace.save(trace_text);
+  trace.save(trace_text);
   char hash[17];
   std::snprintf(hash, sizeof hash, "%016llx",
                 static_cast<unsigned long long>(
