@@ -66,11 +66,17 @@ int main() {
   const runner::SupervisedRunner journaled(jrn_opt);
 
   // Byte-identity first: the overhead question is only meaningful if the
-  // supervised rows are the same rows.
-  const auto plain_rows = unsupervised.run_sweep(plan);
-  const auto sup_rows = supervised.run_sweep(plan);
-  const bool identical = gen::experiment_csv(plan, plain_rows) ==
-                         gen::experiment_csv(plan, sup_rows);
+  // supervised rows are the same rows — journaled, and resumed from that
+  // journal (every row parsed back from its line), too.
+  runner::SupervisorOptions resume_opt = jrn_opt;
+  resume_opt.resume = true;
+  const auto csv = [&](const runner::SupervisedRunner& r) {
+    return gen::experiment_csv(plan, r.run_sweep(plan));
+  };
+  const std::string plain_csv = csv(unsupervised);
+  const bool identical = csv(supervised) == plain_csv &&
+                         csv(journaled) == plain_csv &&
+                         csv(runner::SupervisedRunner(resume_opt)) == plain_csv;
 
   constexpr int kReps = 61;
   std::vector<double> plain_ms, sup_ms, jrn_ms;
@@ -114,7 +120,9 @@ int main() {
               sup, sup_ovh);
   std::printf("%-34s %12.2f %+11.2f%%\n", "SupervisedRunner, journaling",
               jrn, jrn_ovh);
-  std::printf("\nclean-sweep CSV byte-identical under supervision: %s\n",
+  std::printf(
+      "\nclean-sweep CSV byte-identical under supervision (journaled, "
+      "resumed): %s\n",
               identical ? "yes" : "NO");
   std::printf("supervision overhead (no journal): %.2f%% (budget: < 2%%)\n",
               sup_ovh);

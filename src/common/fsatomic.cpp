@@ -73,20 +73,20 @@ void atomic_write_file(const std::string& path, std::string_view content) {
   sync_parent_dir(path);
 }
 
-AtomicJournal::AtomicJournal(std::string path) : path_(std::move(path)) {
+AtomicJournal::AtomicJournal(std::string path, const LineFn& on_line)
+    : path_(std::move(path)) {
   if (path_.empty()) return;
   std::ifstream in(path_, std::ios::binary);
   if (!in) return;  // no journal yet
   on_disk_ = true;
   std::ostringstream buf;
   buf << in.rdbuf();
-  const std::string content = buf.str();
+  const std::string content = std::move(buf).str();
+  const std::string_view view = content;
   std::size_t start = 0;
-  for (std::size_t i = 0; i < content.size(); ++i) {
-    if (content[i] == '\n') {
-      lines_.push_back(content.substr(start, i - start));
-      start = i + 1;
-    }
+  for (std::size_t nl; (nl = view.find('\n', start)) != view.npos;
+       start = nl + 1) {
+    if (on_line) on_line(view.substr(start, nl - start));
   }
   if (start == content.size()) return;
   // Bytes after the last newline are a torn last line (a kill mid-append):
@@ -105,43 +105,39 @@ AtomicJournal::AtomicJournal(std::string path) : path_(std::move(path)) {
 void AtomicJournal::append(std::string line) {
   require(line.find('\n') == std::string::npos,
           "AtomicJournal: journal lines must not contain newlines");
-  if (!path_.empty()) {
-    line += '\n';
-    const int fd =
-        ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-    if (fd < 0) fail("AtomicJournal: cannot open '" + path_ + "'");
-    const off_t end = ::lseek(fd, 0, SEEK_END);
-    if (!write_all(fd, line) || ::fdatasync(fd) != 0) {
-      const int err = errno;
-      if (end >= 0 && ::ftruncate(fd, end) != 0) {
-        // Best effort only: a partial line left here is cut at next load.
-      }
-      ::close(fd);
-      errno = err;
-      fail("AtomicJournal: append to '" + path_ + "' failed");
+  if (path_.empty()) return;
+  line += '\n';
+  const int fd =
+      ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
+  if (fd < 0) fail("AtomicJournal: cannot open '" + path_ + "'");
+  const off_t end = ::lseek(fd, 0, SEEK_END);
+  if (!write_all(fd, line) || ::fdatasync(fd) != 0) {
+    const int err = errno;
+    if (end >= 0 && ::ftruncate(fd, end) != 0) {
+      // Best effort only: a partial line left here is cut at next load.
     }
     ::close(fd);
-    if (!on_disk_) {
-      sync_parent_dir(path_);  // the append created the file
-      on_disk_ = true;
-    }
-    line.pop_back();
+    errno = err;
+    fail("AtomicJournal: append to '" + path_ + "' failed");
   }
-  lines_.push_back(std::move(line));
+  ::close(fd);
+  if (!on_disk_) {
+    sync_parent_dir(path_);  // the append created the file
+    on_disk_ = true;
+  }
 }
 
-void AtomicJournal::rewrite(std::vector<std::string> lines) {
+void AtomicJournal::rewrite(const std::vector<std::string>& lines) {
+  std::size_t total = 0;
   for (const auto& l : lines) {
     require(l.find('\n') == std::string::npos,
             "AtomicJournal: journal lines must not contain newlines");
+    total += l.size() + 1;
   }
-  lines_ = std::move(lines);
   if (path_.empty()) return;
   std::string content;
-  std::size_t total = 0;
-  for (const auto& l : lines_) total += l.size() + 1;
   content.reserve(total);
-  for (const auto& l : lines_) {
+  for (const auto& l : lines) {
     content += l;
     content += '\n';
   }

@@ -143,6 +143,21 @@ void append_severity_row(std::string& out, std::string_view property,
   out += '\n';
 }
 
+std::string hex64(std::uint64_t v) {
+  char buf[16];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v, 16);
+  return std::string(buf, res.ptr);
+}
+
+bool parse_hex64(std::string_view s, std::uint64_t* out) {
+  if (s.empty() || s.size() > 16) return false;
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v, 16);
+  if (ec != std::errc() || ptr != s.data() + s.size()) return false;
+  *out = v;
+  return true;
+}
+
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
 }

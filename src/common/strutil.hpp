@@ -1,4 +1,4 @@
-// Small string helpers used by the report/gen/diff layers.
+// Small string helpers used by the report/gen/diff layers and the journals.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +58,15 @@ inline constexpr std::int64_t kExactNsBound = std::int64_t{1} << 51;
 void append_severity_row(std::string& out, std::string_view property,
                          std::string_view call_path, std::string_view location,
                          double seconds);
+
+/// `v` in lowercase hex without leading zeros ("0" for zero): the one
+/// writer of the fingerprints and ids that journals and responses carry.
+std::string hex64(std::uint64_t v);
+
+/// Parses all of `s` as 1-16 hex digits, either case, into *out: no
+/// prefix, sign or blanks.  Returns false (leaving *out untouched) for
+/// anything else.
+bool parse_hex64(std::string_view s, std::uint64_t* out);
 
 /// True if `s` starts with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <mutex>
+#include <optional>
 #include <sstream>
 
 #include "common/fsatomic.hpp"
@@ -31,9 +32,9 @@ std::string sanitize(std::string s) {
 /// Parses all of `s` as an integer: no sign on unsigned types, no
 /// surrounding blanks, no trailing characters.
 template <typename T>
-bool parse_whole(const std::string& s, T* out, int base = 10) {
+bool parse_whole(const std::string& s, T* out) {
   const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, *out, base);
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
   return ec == std::errc() && ptr == end;
 }
 
@@ -57,24 +58,23 @@ bool parse_outcome(const std::string& s, RunOutcome* out) {
 /// bit-identical to freshly computed ones.
 std::string format_journal_row(std::uint64_t fp, std::size_t index,
                                const ExperimentRow& r) {
-  std::ostringstream os;
-  os << std::hex << fp << std::dec << '\t' << index << '\t'
-     << sanitize(r.value) << '\t' << r.severity.ns() << '\t'
-     << (r.detected ? 1 : 0) << '\t' << sanitize(r.dominant) << '\t'
-     << r.total_time.ns() << '\t' << gen::to_string(r.outcome) << '\t'
-     << r.attempts << '\t' << sanitize(r.note);
-  return os.str();
+  return hex64(fp) + '\t' + std::to_string(index) + '\t' + sanitize(r.value) +
+         '\t' + std::to_string(r.severity.ns()) + '\t' +
+         (r.detected ? "1" : "0") + '\t' + sanitize(r.dominant) + '\t' +
+         std::to_string(r.total_time.ns()) + '\t' +
+         gen::to_string(r.outcome) + '\t' + std::to_string(r.attempts) +
+         '\t' + sanitize(r.note);
 }
 
-bool parse_journal_row(const std::string& line, std::uint64_t fp,
+bool parse_journal_row(std::string_view line, std::uint64_t* key,
                        std::size_t* index, ExperimentRow* row) {
   const std::vector<std::string> f = split(line, '\t');
   if (f.size() != 10) return false;
-  std::uint64_t key = 0;
+  std::uint64_t k = 0;
   std::size_t idx = 0;
   std::int64_t severity_ns = 0, total_ns = 0;
   ExperimentRow r;
-  if (!parse_whole(f[0], &key, 16) || key != fp || !parse_whole(f[1], &idx) ||
+  if (!parse_hex64(f[0], &k) || !parse_whole(f[1], &idx) ||
       !parse_whole(f[3], &severity_ns) || (f[4] != "0" && f[4] != "1") ||
       !parse_whole(f[6], &total_ns) || !parse_outcome(f[7], &r.outcome) ||
       !parse_whole(f[8], &r.attempts) || r.attempts < 1) {
@@ -87,6 +87,7 @@ bool parse_journal_row(const std::string& line, std::uint64_t fp,
   r.total_time = VDur::nanos(total_ns);
   r.note = f[9];
   r.fraction = r.total_time > VDur::zero() ? r.severity / r.total_time : 0.0;
+  *key = k;
   *index = idx;
   *row = std::move(r);
   return true;
@@ -207,26 +208,26 @@ std::vector<ExperimentRow> SupervisedRunner::run_sweep(
   require(!plan.axis.param.empty(), "runner: sweep axis has no name");
   require(!plan.axis.values.empty(), "runner: sweep axis has no values");
 
-  const std::uint64_t fp = plan_fingerprint(plan);
   const std::size_t n = plan.axis.values.size();
   std::vector<ExperimentRow> rows(n);
   std::vector<char> done(n, 0);
 
-  // The journal is loaded whether or not we resume: appends preserve any
-  // existing lines (e.g. cells of a differently-fingerprinted sweep), and
-  // a kill at any instant leaves at most a torn last line, which the next
-  // load drops and cuts (common/fsatomic.hpp).
-  AtomicJournal journal(opt_.journal_path);
-
-  if (opt_.resume && !opt_.journal_path.empty()) {
-    for (const std::string& line : journal.lines()) {
+  // The journal is loaded even without resume: loading cuts a torn last
+  // line left by a kill (common/fsatomic.hpp).
+  const bool journaling = !opt_.journal_path.empty();
+  const std::uint64_t fp = journaling ? plan_fingerprint(plan) : 0;
+  std::optional<AtomicJournal> journal;
+  if (journaling) {
+    journal.emplace(opt_.journal_path, [&](std::string_view line) {
+      if (!opt_.resume) return;
+      std::uint64_t key = 0;
       std::size_t index = 0;
       ExperimentRow row;
-      if (!parse_journal_row(line, fp, &index, &row)) continue;
-      if (index >= n || row.value != plan.axis.values[index]) continue;
+      if (!parse_journal_row(line, &key, &index, &row) || key != fp) return;
+      if (index >= n || row.value != plan.axis.values[index]) return;
       rows[index] = std::move(row);
       done[index] = 1;
-    }
+    });
   }
   std::mutex journal_mu;
 
@@ -234,10 +235,10 @@ std::vector<ExperimentRow> SupervisedRunner::run_sweep(
   pool.parallel_for(n, [&](std::size_t i) {
     if (done[i]) return;
     rows[i] = run_cell(plan, def, plan.axis.values[i]);
-    if (!opt_.journal_path.empty()) {
+    if (journaling) {
       std::string line = format_journal_row(fp, i, rows[i]);
       std::lock_guard<std::mutex> lk(journal_mu);
-      journal.append(std::move(line));
+      journal->append(std::move(line));
     }
   });
   return rows;

@@ -104,13 +104,14 @@ std::uint64_t fnv1a64(std::string_view bytes);
 std::string format_journal_row(std::uint64_t fp, std::size_t index,
                                const gen::ExperimentRow& row);
 
-/// Parses a journal line keyed by `fp`.  Returns false (and leaves the
-/// outputs untouched) for torn, malformed, or differently-keyed lines —
-/// resume and cache loads skip those instead of failing.  Every numeric
-/// field must be an integer over the whole field (no sign on the index,
-/// no blanks, no trailing characters), `detected` 0 or 1 and `attempts`
-/// at least 1.
-bool parse_journal_row(const std::string& line, std::uint64_t fp,
+/// Parses a journal line into its key (the fp field), index and row.
+/// Returns false (and leaves the outputs untouched) for torn or malformed
+/// lines — resume and cache loads skip those instead of failing; callers
+/// filter on the key.  The key is 1-16 hex digits (parse_hex64); every
+/// other numeric field must be a decimal integer over the whole field (no
+/// sign on the index, no blanks, no trailing characters), `detected` 0 or
+/// 1 and `attempts` at least 1.
+bool parse_journal_row(std::string_view line, std::uint64_t* key,
                        std::size_t* index, gen::ExperimentRow* row);
 
 }  // namespace ats::runner

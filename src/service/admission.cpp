@@ -36,12 +36,12 @@ int AdmissionController::retry_after_locked() const {
 }
 
 std::optional<AdmissionController::ShedInfo> AdmissionController::admit(
-    QueuedRequest task, bool force) {
+    QueuedRequest task) {
   std::lock_guard<std::mutex> lk(mu_);
   if (shutdown_) {
     return ShedInfo{1, static_cast<int>(queue_.size())};
   }
-  if (!force && queue_.size() >= static_cast<std::size_t>(opt_.queue_depth)) {
+  if (queue_.size() >= static_cast<std::size_t>(opt_.queue_depth)) {
     return ShedInfo{retry_after_locked(), static_cast<int>(queue_.size())};
   }
   queue_.push_back(std::move(task));

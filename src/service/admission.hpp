@@ -45,7 +45,6 @@ struct QueuedRequest {
   /// Absolute deadline (steady clock); time_point::max() = none.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
-  bool recovered = false;
   std::shared_ptr<std::promise<std::string>> reply;
 };
 
@@ -67,9 +66,8 @@ class AdmissionController {
   };
 
   /// Admits `task` into the queue, or returns the shed decision when the
-  /// queue is at depth.  `force` bypasses the depth check (recovery
-  /// re-admission of previously accepted work).  Never blocks.
-  std::optional<ShedInfo> admit(QueuedRequest task, bool force = false);
+  /// queue is at depth.  Never blocks.
+  std::optional<ShedInfo> admit(QueuedRequest task);
 
   /// Blocks until a task whose class has a free slot is available (the
   /// slot is claimed) or shutdown has drained the queue.  Returns false

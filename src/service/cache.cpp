@@ -1,40 +1,28 @@
 #include "service/cache.hpp"
 
-#include <sstream>
-
+#include "common/strutil.hpp"
 #include "runner/supervisor.hpp"
 
 namespace ats::service {
 
 ResultCache::ResultCache(std::string journal_path)
-    : journal_(std::move(journal_path)) {
-  // Warm restart: reload every complete journal line.  Each line is keyed
-  // by its own cell key (stored in the fingerprint slot of the shared
-  // runner row format, with index 0), so parse keyed by the line's own
-  // prefix: read the key back out first, then parse normally.
-  for (const std::string& line : journal_.lines()) {
-    const auto tab = line.find('\t');
-    if (tab == std::string::npos) continue;
-    std::uint64_t key = 0;
-    try {
-      key = std::stoull(line.substr(0, tab), nullptr, 16);
-    } catch (const std::exception&) {
-      continue;  // malformed prefix: skip the line, keep the rest
-    }
-    std::size_t index = 0;
-    gen::ExperimentRow row;
-    if (!runner::parse_journal_row(line, key, &index, &row)) continue;
-    rows_[key] = std::move(row);
-  }
-  std::lock_guard<std::mutex> lk(mu_);
+    : journal_(std::move(journal_path), [this](std::string_view line) {
+        // Warm restart: each line is keyed by its own cell key (stored in
+        // the fingerprint slot of the shared runner row format, with
+        // index 0).  Malformed lines are skipped, the rest kept.
+        std::uint64_t key = 0;
+        std::size_t index = 0;
+        gen::ExperimentRow row;
+        if (runner::parse_journal_row(line, &key, &index, &row)) {
+          rows_[key] = std::move(row);
+        }
+      }) {
   stats_.entries = rows_.size();
 }
 
 std::uint64_t ResultCache::cell_key(std::uint64_t plan_fp,
                                     const std::string& value) {
-  std::ostringstream os;
-  os << std::hex << plan_fp << '\t' << value;
-  return runner::fnv1a64(os.str());
+  return runner::fnv1a64(hex64(plan_fp) + '\t' + value);
 }
 
 ResultCache::Found ResultCache::lookup_or_begin(std::uint64_t key,
@@ -92,7 +80,9 @@ void ResultCache::publish(std::uint64_t key, const gen::ExperimentRow& row) {
   if (row.outcome != gen::RunOutcome::kHang) {
     rows_[key] = row;
     stats_.entries = rows_.size();
-    journal_.append(runner::format_journal_row(key, 0, row));
+    if (!journal_.path().empty()) {
+      journal_.append(runner::format_journal_row(key, 0, row));
+    }
   }
   const auto pit = pending_.find(key);
   if (pit != pending_.end()) {

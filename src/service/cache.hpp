@@ -16,7 +16,9 @@
 // Persistence: completed rows append to a crash-consistent journal
 // (common/fsatomic.hpp: one fdatasync'd line per append) in the runner's
 // journal-row format, so a killed daemon restarts warm — the constructor
-// reloads every complete line and drops a line torn by the kill.  Rows
+// parses every complete line once into the row table and drops a line
+// torn by the kill.  Without a journal nothing is formatted: the row
+// table is the only copy.  Rows
 // whose outcome depends on host wall clock (RunOutcome::kHang) are never
 // cached: a hang under one request's deadline says nothing about a retry
 // with a larger budget.
@@ -89,7 +91,8 @@ class ResultCache {
   std::unordered_map<std::uint64_t, gen::ExperimentRow> rows_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Pending>> pending_;
   Stats stats_{};
-  // Mutated only under mu_; AtomicJournal is not internally locked.
+  // Declared after rows_, which loading fills.  Appended to only under
+  // mu_; AtomicJournal is not internally locked.
   AtomicJournal journal_;
 };
 

@@ -27,23 +27,6 @@ std::vector<std::string> tokens(const std::string& line) {
   return out;
 }
 
-std::uint64_t parse_hex64_field(const std::string& key,
-                                const std::string& value) {
-  require(!value.empty() && value.size() <= 16,
-          "request: " + key + " is not a hex fingerprint: '" + value + "'");
-  std::uint64_t out = 0;
-  for (const char c : value) {
-    const bool ok = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') ||
-                    (c >= 'A' && c <= 'F');
-    require(ok, "request: " + key + " is not a hex fingerprint: '" + value +
-                    "'");
-    out = (out << 4) | static_cast<std::uint64_t>(
-                           c <= '9' ? c - '0'
-                                    : (c | 0x20) - 'a' + 10);
-  }
-  return out;
-}
-
 int parse_int_field(const std::string& key, const std::string& value, int lo,
                     int hi) {
   try {
@@ -150,7 +133,8 @@ Request parse_request(const std::string& line) {
     } else if (key == "values") {
       req.values = split(value, ',');
     } else if (key == "fp_a" || key == "fp_b") {
-      (key == "fp_a" ? req.fp_a : req.fp_b) = parse_hex64_field(key, value);
+      require(parse_hex64(value, key == "fp_a" ? &req.fp_a : &req.fp_b),
+              "request: " + key + " is not a hex fingerprint: '" + value + "'");
     } else {
       require(!value.empty(), "request: empty value for '" + key + "'");
       req.params.set(key, value);
@@ -188,8 +172,8 @@ std::string canonical_request_line(const Request& req) {
     os << " axis=" << req.axis << " values=" << join(req.values, ",");
   }
   if (req.op == Op::kDiff) {
-    os << " fp_a=" << std::hex << req.fp_a << " fp_b=" << req.fp_b
-       << std::dec << " values=" << join(req.values, ",");
+    os << " fp_a=" << hex64(req.fp_a) << " fp_b=" << hex64(req.fp_b)
+       << " values=" << join(req.values, ",");
   }
   for (const std::string& k : req.params.keys()) {
     os << ' ' << k << '=' << req.params.get_raw(k, "");

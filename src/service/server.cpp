@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -31,12 +30,6 @@ std::string shed_response(const AdmissionController::ShedInfo& info) {
   return format_fields(Status::kShed,
                        {{"retry_after_ms", std::to_string(info.retry_after_ms)},
                         {"queued", std::to_string(info.queued)}});
-}
-
-std::string hex64(std::uint64_t v) {
-  std::ostringstream os;
-  os << std::hex << v;
-  return os.str();
 }
 
 /// Writes all of `data` to `fd`, ignoring SIGPIPE (EPIPE just fails).
@@ -160,7 +153,6 @@ void Server::recover() {
     task.canonical = line;
     task.id = runner::fnv1a64(line);
     task.enqueued = Clock::now();
-    task.recovered = true;
     // Recovered work runs under the default deadline (its original one
     // died with the client); without this a recovered pathological spec
     // would burn the full supervision budget before the socket opens.
@@ -511,7 +503,6 @@ std::string Server::execute_analyze_or_sweep(const QueuedRequest& task) {
     const gen::ExperimentRow row = cell_through_cache(
         plan, def, value, ResultCache::cell_key(fp, value), budget, &cached);
     if (cached) ++cached_cells;
-    rows.push_back(runner::format_journal_row(fp, i, row));
 
     if (req.op == Op::kAnalyze) {
       // Finding names contain spaces ("late sender"); key=value fields
@@ -534,6 +525,7 @@ std::string Server::execute_analyze_or_sweep(const QueuedRequest& task) {
       if (!row.note.empty()) kv.emplace_back("msg", first_line(row.note));
       return format_fields(Status::kOk, kv);
     }
+    rows.push_back(runner::format_journal_row(fp, i, row));
   }
 
   std::string out = format_fields(

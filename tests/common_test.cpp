@@ -295,6 +295,31 @@ TEST(StrUtil, SeverityRowIsTheCsvSchema) {
             "late sender,main > MPI_Recv,rank 1,0.012345679\n");
 }
 
+TEST(StrUtil, Hex64RoundTripsAndRejectsNonHex) {
+  EXPECT_EQ(hex64(0), "0");
+  EXPECT_EQ(hex64(1), "1");
+  EXPECT_EQ(hex64(UINT64_MAX), "ffffffffffffffff");
+  EXPECT_EQ(hex64(0xdeadbeefcafef00dULL), "deadbeefcafef00d");
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{0x1f},
+        std::uint64_t{0xdeadbeefcafef00dULL}, UINT64_MAX}) {
+    std::uint64_t back = 7;
+    ASSERT_TRUE(parse_hex64(hex64(v), &back)) << hex64(v);
+    EXPECT_EQ(back, v);
+  }
+  std::uint64_t mixed = 0;
+  ASSERT_TRUE(parse_hex64("DeAdBeEf", &mixed));  // either case
+  EXPECT_EQ(mixed, 0xdeadbeefULL);
+  ASSERT_TRUE(parse_hex64("FFFFFFFFFFFFFFFF", &mixed));
+  EXPECT_EQ(mixed, UINT64_MAX);
+  for (const char* bad : {"", "0x1f", " 1f", "1f ", "1fzz", "-1", "+1",
+                          "10000000000000000", "00000000000000001"}) {
+    std::uint64_t out = 42;
+    EXPECT_FALSE(parse_hex64(bad, &out)) << "'" << bad << "'";
+    EXPECT_EQ(out, 42u) << "'" << bad << "'";
+  }
+}
+
 TEST(Error, RequireThrowsUsageError) {
   EXPECT_NO_THROW(require(true, "ok"));
   EXPECT_THROW(require(false, "bad"), UsageError);
@@ -333,6 +358,13 @@ TEST(FsAtomic, AtomicWriteFileCreatesAndReplaces) {
   std::remove(path.c_str());
 }
 
+/// The lines a fresh AtomicJournal on `path` hands over at load.
+std::vector<std::string> load_lines(const std::string& path) {
+  std::vector<std::string> lines;
+  AtomicJournal j(path, [&](std::string_view l) { lines.emplace_back(l); });
+  return lines;
+}
+
 TEST(FsAtomic, JournalAppendsPersistAcrossReload) {
   const std::string path = testing::TempDir() + "ats_fsatomic_journal.txt";
   std::remove(path.c_str());
@@ -341,8 +373,7 @@ TEST(FsAtomic, JournalAppendsPersistAcrossReload) {
     j.append("alpha");
     j.append("beta");
   }
-  AtomicJournal reloaded(path);
-  EXPECT_EQ(reloaded.lines(), (std::vector<std::string>{"alpha", "beta"}));
+  EXPECT_EQ(load_lines(path), (std::vector<std::string>{"alpha", "beta"}));
   std::remove(path.c_str());
 }
 
@@ -353,15 +384,15 @@ TEST(FsAtomic, JournalDropsTornTrailingFragment) {
     std::ofstream f(path);
     f << "complete line\n" << "torn fragment without newline";
   }
-  AtomicJournal j(path);
-  EXPECT_EQ(j.lines(), (std::vector<std::string>{"complete line"}));
+  std::vector<std::string> loaded;
+  AtomicJournal j(path, [&](std::string_view l) { loaded.emplace_back(l); });
+  EXPECT_EQ(loaded, (std::vector<std::string>{"complete line"}));
   // Loading cut the fragment from the file, so the append starts its own
   // line instead of extending the fragment.
   EXPECT_EQ(read_file(path), "complete line\n");
   j.append("appended");
   EXPECT_EQ(read_file(path), "complete line\nappended\n");
-  AtomicJournal reloaded(path);
-  EXPECT_EQ(reloaded.lines(),
+  EXPECT_EQ(load_lines(path),
             (std::vector<std::string>{"complete line", "appended"}));
   std::remove(path.c_str());
 }
@@ -390,17 +421,23 @@ TEST(FsAtomic, JournalRewriteReplacesContent) {
   j.append("old 1");
   j.append("old 2");
   j.rewrite({"only line"});
-  EXPECT_EQ(j.lines(), (std::vector<std::string>{"only line"}));
-  AtomicJournal reloaded(path);
-  EXPECT_EQ(reloaded.lines(), (std::vector<std::string>{"only line"}));
+  EXPECT_EQ(read_file(path), "only line\n");
+  j.append("after");
+  EXPECT_EQ(load_lines(path),
+            (std::vector<std::string>{"only line", "after"}));
   std::remove(path.c_str());
 }
 
-TEST(FsAtomic, InMemoryJournalHasNoPath) {
-  AtomicJournal j("");
-  j.append("volatile");
-  EXPECT_EQ(j.lines().size(), 1u);
+TEST(FsAtomic, EmptyPathWritesNoFileAndLoadsNothing) {
+  int loaded = 0;
+  AtomicJournal j("", [&](std::string_view) { ++loaded; });
   EXPECT_TRUE(j.path().empty());
+  // No file to write: atomic_write_file would reject the empty path, so
+  // neither call may reach the disk.
+  EXPECT_NO_THROW(j.append("dropped"));
+  EXPECT_NO_THROW(j.rewrite({"dropped too"}));
+  EXPECT_THROW(atomic_write_file("", "x"), UsageError);
+  EXPECT_EQ(loaded, 0);
 }
 
 }  // namespace

@@ -292,9 +292,11 @@ TEST(Runner, JournalRowRoundTripsThroughTheSharedFormat) {
   row.note = "retried once";
   const std::uint64_t fp = 0xdeadbeefcafef00dULL;
   const std::string line = format_journal_row(fp, 7, row);
+  std::uint64_t key = 0;
   std::size_t index = 0;
   ExperimentRow parsed;
-  ASSERT_TRUE(parse_journal_row(line, fp, &index, &parsed));
+  ASSERT_TRUE(parse_journal_row(line, &key, &index, &parsed));
+  EXPECT_EQ(key, fp);
   EXPECT_EQ(index, 7u);
   EXPECT_EQ(parsed.value, row.value);
   EXPECT_EQ(parsed.severity.ns(), row.severity.ns());
@@ -304,8 +306,6 @@ TEST(Runner, JournalRowRoundTripsThroughTheSharedFormat) {
   EXPECT_EQ(parsed.outcome, row.outcome);
   EXPECT_EQ(parsed.attempts, row.attempts);
   EXPECT_EQ(parsed.note, row.note);
-  // A row journaled under another plan must not parse for this one.
-  EXPECT_FALSE(parse_journal_row(line, fp + 1, &index, &parsed));
 }
 
 TEST(Runner, JournalRowRejectsMalformedFields) {
@@ -338,21 +338,27 @@ TEST(Runner, JournalRowRejectsMalformedFields) {
       {8, "-3"},     // negative attempts
       {8, "1.5"},    // fractional attempts
       {0, "deadbeefcafef00dz"},  // key with trailing characters
+      {0, "0xdeadbeef"},         // key with a prefix
+      {0, ""},                   // empty key
   };
   for (const auto& b : bad) {
     std::vector<std::string> f = good;
     f[b.field] = b.text;
+    std::uint64_t key = 99;
     std::size_t index = 99;
     ExperimentRow parsed;
     parsed.note = "untouched";
-    EXPECT_FALSE(parse_journal_row(join(f, "\t"), fp, &index, &parsed))
+    EXPECT_FALSE(parse_journal_row(join(f, "\t"), &key, &index, &parsed))
         << "field " << b.field << " = '" << b.text << "'";
+    EXPECT_EQ(key, 99u);
     EXPECT_EQ(index, 99u);
     EXPECT_EQ(parsed.note, "untouched");
   }
+  std::uint64_t key = 0;
   std::size_t index = 0;
   ExperimentRow parsed;
-  ASSERT_TRUE(parse_journal_row(join(good, "\t"), fp, &index, &parsed));
+  ASSERT_TRUE(parse_journal_row(join(good, "\t"), &key, &index, &parsed));
+  EXPECT_EQ(key, fp);
   EXPECT_EQ(index, 7u);
   EXPECT_EQ(parsed.severity.ns(), 12);
   EXPECT_EQ(parsed.attempts, 1);

@@ -2,7 +2,9 @@
 # Soak test for the analysis service (docs/SERVICE.md): a mixed workload
 # against a real ats_serve daemon — well-formed, malformed, oversized and
 # deadline-busting requests — plus a SIGKILL mid-run and a restart that
-# must come back warm with no lost result and no double-simulated cell.
+# must come back warm with no lost result and no double-simulated cell,
+# then a graceful shutdown and a restart that must recover nothing and
+# reload every cached row.
 #
 #   tests/service_soak.sh <path-to-ats_serve> <path-to-ats_client>
 #
@@ -52,6 +54,19 @@ start_daemon() {
   echo "daemon did not come up"
   cat "$WORK/serve.log"
   exit 1
+}
+
+stop_daemon() {  # graceful shutdown; fails if the daemon ignores it
+  check_exit 0 "shutdown" shutdown
+  for _ in $(seq 1 50); do
+    kill -0 "$SERVE_PID" 2>/dev/null || break
+    sleep 0.1
+  done
+  if kill -0 "$SERVE_PID" 2>/dev/null; then
+    fail "daemon ignored shutdown"
+  else
+    SERVE_PID=""
+  fi
 }
 
 status_field() {  # status_field <key>
@@ -112,16 +127,20 @@ SIMS_FINAL="$(status_field simulations)"
 [ "$SIMS_NOW" = "$SIMS_FINAL" ] || fail "pre-kill result was lost"
 
 echo "== phase 4: graceful shutdown"
-check_exit 0 "shutdown" shutdown
-for _ in $(seq 1 50); do
-  kill -0 "$SERVE_PID" 2>/dev/null || break
-  sleep 0.1
-done
-if kill -0 "$SERVE_PID" 2>/dev/null; then
-  fail "daemon ignored shutdown"
-else
-  SERVE_PID=""
-fi
+ENTRIES_BEFORE="$(status_field cache_entries)"
+stop_daemon
+
+echo "== phase 5: restart after a graceful shutdown"
+# A clean stop leaves nothing in flight and every cached row on disk.
+start_daemon
+RECOVERED="$(status_field recovered)"
+ENTRIES_AFTER="$(status_field cache_entries)"
+echo "   recovered=$RECOVERED cache_entries=$ENTRIES_BEFORE -> $ENTRIES_AFTER"
+[ "$RECOVERED" = "0" ] ||
+  fail "graceful shutdown left work to recover (recovered=$RECOVERED)"
+[ -n "$ENTRIES_BEFORE" ] && [ "$ENTRIES_BEFORE" = "$ENTRIES_AFTER" ] ||
+  fail "cache entries changed across restart ($ENTRIES_BEFORE -> $ENTRIES_AFTER)"
+stop_daemon
 
 if [ "$FAILED" -ne 0 ]; then
   echo "== service soak FAILED"

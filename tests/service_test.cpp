@@ -130,8 +130,6 @@ TEST(ServiceAdmission, ShedsBeyondQueueDepth) {
   ASSERT_TRUE(shed.has_value());
   EXPECT_GE(shed->retry_after_ms, 1);
   EXPECT_EQ(shed->queued, 2);
-  // `force` (recovery re-admission) bypasses the depth bound.
-  EXPECT_FALSE(ac.admit(make_task("analyze prop=c np=2"), /*force=*/true));
 }
 
 TEST(ServiceAdmission, ClassSlotsLimitConcurrency) {
@@ -262,6 +260,40 @@ TEST(ServiceRecovery, PendingIsAdmittedMinusDoneDeduped) {
   // Load compacted the journal: a fresh load sees the same pending set.
   RecoveryLog again(path);
   EXPECT_EQ(again.pending(), reloaded.pending());
+  std::remove(path.c_str());
+}
+
+TEST(ServiceRecovery, DoneWithMalformedIdLeavesAdmissionPending) {
+  const std::string path = testing::TempDir() + "ats_service_badid.journal";
+  std::remove(path.c_str());
+  {
+    std::ofstream out(path);
+    // "1fzz" is not an id: a prefix parse would read it as 0x1f and
+    // cancel the admission.
+    out << "admit 1f analyze prop=a np=2\n"
+        << "done 1fzz\n";
+  }
+  RecoveryLog log(path);
+  EXPECT_EQ(log.pending(), (std::vector<std::string>{"analyze prop=a np=2"}));
+  std::remove(path.c_str());
+}
+
+TEST(ServiceRecovery, CompactionKeepsEveryOutstandingAdmission) {
+  const std::string path = testing::TempDir() + "ats_service_compact.journal";
+  std::remove(path.c_str());
+  {
+    RecoveryLog log(path);
+    log.admit(0xabc, "analyze prop=x np=2");
+    log.admit(0xabc, "analyze prop=x np=2");  // two in-flight admissions
+    for (std::uint64_t id = 1; id <= 64; ++id) {
+      log.admit(id, "analyze prop=y np=" + std::to_string(id));
+      log.done(id);  // the 64th done compacts
+    }
+    log.done(0xabc);  // one of the two completed: one is still in flight
+  }
+  RecoveryLog reloaded(path);
+  EXPECT_EQ(reloaded.pending(),
+            (std::vector<std::string>{"analyze prop=x np=2"}));
   std::remove(path.c_str());
 }
 
