@@ -101,21 +101,19 @@ int main(int argc, char** argv) {
         return gen::kExitUsage;
       }
       const std::string val = argv[++i];
-      try {
-        if (arg == "--abs-floor") {
-          opt.abs_floor_sec = std::stod(val);
-        } else if (arg == "--rel-floor") {
-          opt.rel_floor = std::stod(val);
-        } else if (arg == "--calibrate") {
-          calibrate_dir = val;
-        } else if (arg == "--csv") {
-          csv_path = val;
-        } else {
-          xml_path = val;
+      if (arg == "--abs-floor" || arg == "--rel-floor") {
+        const auto v = parse_finite(val);
+        if (!v) {
+          std::cerr << arg << ": bad number '" << val << "'\n";
+          return gen::kExitUsage;
         }
-      } catch (const std::exception&) {
-        std::cerr << arg << ": bad number '" << val << "'\n";
-        return gen::kExitUsage;
+        (arg == "--abs-floor" ? opt.abs_floor_sec : opt.rel_floor) = *v;
+      } else if (arg == "--calibrate") {
+        calibrate_dir = val;
+      } else if (arg == "--csv") {
+        csv_path = val;
+      } else {
+        xml_path = val;
       }
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unknown option: " << arg << "\n" << kUsage;

@@ -53,15 +53,11 @@ constexpr const char* kUsage =
 
 using namespace ats;
 
-std::uint64_t parse_count(const std::string& s, const char* what) {
-  try {
-    std::size_t pos = 0;
-    const long long v = std::stoll(s, &pos);
-    if (pos != s.size() || v < 0) throw std::invalid_argument(s);
-    return static_cast<std::uint64_t>(v);
-  } catch (const std::exception&) {
-    throw UsageError(std::string("ats_fuzz: bad value for ") + what + ": " + s);
-  }
+/// A non-negative decimal count of type T, or a usage error.
+template <typename T>
+T parse_count(const std::string& s, const char* what) {
+  if (const auto v = parse_decimal<T>(s, 0)) return *v;
+  throw UsageError(std::string("ats_fuzz: bad value for ") + what + ": " + s);
 }
 
 analyze::PropertyId parse_property(const std::string& name) {
@@ -117,11 +113,11 @@ int main(int argc, char** argv) {
         std::cout << kUsage;
         return 0;
       } else if (arg == "--seeds") {
-        seeds = parse_count(value(), "--seeds");
+        seeds = parse_count<std::uint64_t>(value(), "--seeds");
       } else if (arg == "--start") {
-        start = parse_count(value(), "--start");
+        start = parse_count<std::uint64_t>(value(), "--start");
       } else if (arg == "--jobs") {
-        jobs = static_cast<int>(parse_count(value(), "--jobs"));
+        jobs = parse_count<int>(value(), "--jobs");
       } else if (arg == "--replay") {
         replay_path = value();
       } else if (arg == "--shrink") {

@@ -12,6 +12,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/strutil.hpp"
 #include "gen/registry.hpp"
 #include "service/server.hpp"
 
@@ -40,12 +41,9 @@ void on_signal(int) {
 }
 
 int parse_int(const std::string& flag, const char* value) {
-  try {
-    return std::stoi(value);
-  } catch (const std::exception&) {
-    throw ats::UsageError("ats_serve: " + flag + " expects an integer, got '" +
-                          value + "'");
-  }
+  if (const auto v = ats::parse_decimal<int>(value)) return *v;
+  throw ats::UsageError("ats_serve: " + flag + " expects an integer, got '" +
+                        value + "'");
 }
 
 }  // namespace

@@ -135,6 +135,10 @@ int main(int argc, char** argv) {
     return usage();
   } catch (const ats::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+    // A bad parameter is a usage error; MpiError/OmpError, which derive
+    // from UsageError, are run outcomes and stay generic failures here.
+    const bool usage = dynamic_cast<const ats::UsageError*>(&e) != nullptr &&
+                       !ats::gen::classify_run_failure(e);
+    return usage ? ats::gen::kExitUsage : ats::gen::kExitFailure;
   }
 }

@@ -1,4 +1,4 @@
-// A small fixed-size thread pool for embarrassingly parallel grids.
+// Fan-out of embarrassingly parallel grids.
 //
 // The analysis pipeline multiplies into hundreds of independent
 // deterministic simulations (experiment sweeps, the detection matrix).  Each
@@ -9,14 +9,8 @@
 // slot order, which keeps parallel output bit-identical to sequential runs.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace ats::par {
 
@@ -25,63 +19,27 @@ namespace ats::par {
 /// std::thread::hardware_concurrency() (at least 1).
 int default_jobs();
 
-/// A fixed pool of worker threads executing parallel_for grids.
-///
-/// Workers are spawned once and parked on a condition variable between
-/// grids, so repeated parallel_for calls (one per experiment sweep) pay no
-/// thread-creation cost.  With size() == 1 no workers are spawned at all and
-/// parallel_for degenerates to a plain sequential loop on the caller's
-/// thread — the forced-sequential reference path used by determinism tests.
+/// The width of a grid fan-out.  The pool holds no threads: each
+/// parallel_for starts min(size(), n) - 1 helper threads for its grid and
+/// joins them before it returns.  A sequential pool (size() == 1) or a
+/// one-cell grid runs every cell on the caller's thread, in index order —
+/// the forced-sequential reference path used by determinism tests.
 class ThreadPool {
  public:
   /// `jobs` <= 0 selects default_jobs().
   explicit ThreadPool(int jobs = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
 
   int size() const { return jobs_; }
 
   /// Runs body(i) for every i in [0, n), distributing indices dynamically
-  /// over the pool plus the calling thread.  Blocks until all indices are
-  /// done.  The first exception thrown by any body is rethrown on the
-  /// caller; remaining indices are still drained (bodies after the first
-  /// failure are skipped, not run).
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
+  /// over the helpers plus the calling thread.  Blocks until all indices
+  /// are done.  The first exception thrown by any body is rethrown on the
+  /// caller; indices not yet claimed when it was thrown are skipped.
+  void parallel_for(std::size_t n,
+                    const std::function<void(std::size_t)>& body) const;
 
  private:
-  struct Grid {
-    std::size_t n = 0;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::atomic<bool> failed{false};
-    const std::function<void(std::size_t)>* body = nullptr;
-    std::exception_ptr error;
-    std::mutex error_mu;
-  };
-
-  void worker_main();
-  /// Claims and runs indices of `grid` until exhausted.
-  static void drain(Grid& grid);
-
   int jobs_;
-  std::vector<std::thread> workers_;
-
-  std::mutex caller_mu_;  // serialises concurrent parallel_for callers
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  // Shared so a worker that observed the grid just before the caller
-  // finished it cannot be left holding a dangling pointer.
-  std::shared_ptr<Grid> grid_;
-  std::uint64_t epoch_ = 0;   // bumped per grid so workers see new work
-  bool shutdown_ = false;
 };
-
-/// One-shot convenience: runs body over [0, n) on a process-wide pool of
-/// default_jobs() workers (created on first use).  Callers that need a
-/// specific width (e.g. forced-sequential) construct their own ThreadPool.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
 }  // namespace ats::par

@@ -158,6 +158,32 @@ bool parse_hex64(std::string_view s, std::uint64_t* out) {
   return true;
 }
 
+template <typename T>
+std::optional<T> parse_decimal(std::string_view s, T lo, T hi) {
+  T v{};
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || ptr != s.data() + s.size() || v < lo || v > hi) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+template std::optional<int> parse_decimal(std::string_view, int, int);
+template std::optional<std::int64_t> parse_decimal(std::string_view,
+                                                   std::int64_t, std::int64_t);
+template std::optional<std::uint64_t> parse_decimal(std::string_view,
+                                                    std::uint64_t,
+                                                    std::uint64_t);
+
+std::optional<double> parse_finite(std::string_view s) {
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || ptr != s.data() + s.size() || !std::isfinite(v)) {
+    return std::nullopt;
+  }
+  return v;
+}
+
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
 }

@@ -2,6 +2,8 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,6 +69,22 @@ std::string hex64(std::uint64_t v);
 /// prefix, sign or blanks.  Returns false (leaving *out untouched) for
 /// anything else.
 bool parse_hex64(std::string_view s, std::uint64_t* out);
+
+/// Parses all of `s` as a base-10 integer within [lo, hi] (by default all
+/// of T): an optional '-' for signed T, then digits, with no '+', blanks or
+/// prefix.  nullopt for anything else, out-of-range values included.  The
+/// one reader of the decimal integers that reach the program from outside
+/// (command lines, environment, requests, repro files); instantiated for
+/// int, std::int64_t and std::uint64_t.
+template <typename T>
+std::optional<T> parse_decimal(std::string_view s,
+                               T lo = std::numeric_limits<T>::min(),
+                               T hi = std::numeric_limits<T>::max());
+
+/// Parses all of `s` as a finite decimal double ("0.5", "-1e-3", ".5"):
+/// nullopt for blanks, a '+', hex, inf, nan, trailing text or a value
+/// beyond the double range.
+std::optional<double> parse_finite(std::string_view s);
 
 /// True if `s` starts with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);

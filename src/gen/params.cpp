@@ -1,7 +1,6 @@
 #include "gen/params.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/strutil.hpp"
 
@@ -19,21 +18,13 @@ const char* to_string(ParamKind k) {
 namespace {
 
 double parse_double(const std::string& s, const std::string& what) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') {
-    throw UsageError("cannot parse '" + s + "' as a number for " + what);
-  }
-  return v;
+  if (const auto v = parse_finite(s)) return *v;
+  throw UsageError("cannot parse '" + s + "' as a number for " + what);
 }
 
 int parse_int(const std::string& s, const std::string& what) {
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') {
-    throw UsageError("cannot parse '" + s + "' as an integer for " + what);
-  }
-  return static_cast<int>(v);
+  if (const auto v = parse_decimal<int>(s)) return *v;
+  throw UsageError("cannot parse '" + s + "' as an integer for " + what);
 }
 
 }  // namespace

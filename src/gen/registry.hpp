@@ -140,10 +140,9 @@ struct PropertyDef {
 ///   * The PropertyDef::invoke lambdas are stateless (they capture
 ///     nothing and write only through the PropCtx they are handed), so
 ///     one PropertyDef may drive any number of concurrent simulations.
-/// The same audit found the remaining function-local statics on the
-/// request path: Registry::instance() here, the process-wide pool inside
-/// par::parallel_for (magic-static, same guarantee; the service uses its
-/// own pool) — both immutable-after-init.
+/// Registry::instance() is the one function-local static on the request
+/// path: par::ThreadPool keeps no process-wide state (each grid starts and
+/// joins its own threads).
 class Registry {
  public:
   static const Registry& instance();

@@ -44,28 +44,11 @@ E parse_enum(const std::string& s, std::initializer_list<E> all,
   throw UsageError(std::string("ats-repro: unknown ") + what + " '" + s + "'");
 }
 
-std::int64_t parse_i64(const std::string& s, const char* key) {
-  try {
-    std::size_t pos = 0;
-    const long long v = std::stoll(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    throw UsageError(std::string("ats-repro: bad integer for '") + key +
-                     "': " + s);
-  }
-}
-
-std::uint64_t parse_u64(const std::string& s, const char* key) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long v = std::stoull(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    throw UsageError(std::string("ats-repro: bad integer for '") + key +
-                     "': " + s);
-  }
+template <typename T>
+T parse_number(const std::string& s, const char* key) {
+  if (const auto v = parse_decimal<T>(s)) return *v;
+  throw UsageError(std::string("ats-repro: bad integer for '") + key +
+                   "': " + s);
 }
 
 }  // namespace
@@ -188,7 +171,7 @@ ProgramSpec ProgramSpec::parse(const std::string& text) {
     const std::string value = line.substr(vbegin);
 
     if (key == "seed") {
-      s.seed = parse_u64(value, "seed");
+      s.seed = parse_number<std::uint64_t>(value, "seed");
     } else if (key == "mode") {
       s.mode = parse_enum(value,
                           {ProgramMode::kSingle, ProgramMode::kMix,
@@ -201,15 +184,15 @@ ProgramSpec ProgramSpec::parse(const std::string& text) {
     } else if (key == "negative") {
       s.negative = value == "1" || value == "true";
     } else if (key == "nprocs") {
-      s.nprocs = static_cast<int>(parse_i64(value, "nprocs"));
+      s.nprocs = parse_number<int>(value, "nprocs");
     } else if (key == "repeats") {
-      s.repeats = static_cast<int>(parse_i64(value, "repeats"));
+      s.repeats = parse_number<int>(value, "repeats");
     } else if (key == "nthreads") {
-      s.nthreads = static_cast<int>(parse_i64(value, "nthreads"));
+      s.nthreads = parse_number<int>(value, "nthreads");
     } else if (key == "basework_us") {
-      s.basework_us = parse_i64(value, "basework_us");
+      s.basework_us = parse_number<std::int64_t>(value, "basework_us");
     } else if (key == "delay_us") {
-      s.delay_us = parse_i64(value, "delay_us");
+      s.delay_us = parse_number<std::int64_t>(value, "delay_us");
     } else if (key == "rank_fault") {
       s.rank_fault = parse_enum(value,
                                 {SpecRankFault::kNone, SpecRankFault::kCrash,
@@ -217,7 +200,7 @@ ProgramSpec ProgramSpec::parse(const std::string& text) {
                                  SpecRankFault::kDropSends},
                                 "rank_fault");
     } else if (key == "fault_rank") {
-      s.fault_rank = static_cast<int>(parse_i64(value, "fault_rank"));
+      s.fault_rank = parse_number<int>(value, "fault_rank");
     } else if (key == "trace_fault") {
       s.trace_fault = parse_enum(
           value,

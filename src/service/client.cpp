@@ -8,8 +8,29 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "common/strutil.hpp"
 
 namespace ats::service {
+
+namespace {
+
+/// Upper bounds on what one framed response may announce.  A sweep or diff
+/// answers one row per requested value (the daemon caps those at
+/// --max-sweep-values, 512 by default); a generated driver is a few KiB.
+constexpr std::int64_t kMaxFrameRows = std::int64_t{1} << 20;
+constexpr std::int64_t kMaxFrameBytes = std::int64_t{64} << 20;
+
+/// The announced count `key` of a framed response, checked before the
+/// client reserves or reads anything for it.
+std::size_t frame_count(const Response& resp, const std::string& key,
+                        std::int64_t max) {
+  const std::string v = resp.get(key);
+  const auto n = parse_decimal<std::int64_t>(v, 0, max);
+  if (!n) throw Error("client: implausible frame count " + key + "=" + v);
+  return static_cast<std::size_t>(*n);
+}
+
+}  // namespace
 
 Client::Client(std::string socket_path) : path_(std::move(socket_path)) {
   struct sockaddr_un addr{};
@@ -84,14 +105,14 @@ Response Client::call(const std::string& request_line) {
   // Framed payloads: generate announces bytes=, sweep announces rows=.
   // Both end with an "end" line that confirms the frame arrived whole.
   if (resp.fields.count("bytes") != 0) {
-    resp.payload = read_exact(static_cast<std::size_t>(resp.get_int("bytes")));
+    resp.payload = read_exact(frame_count(resp, "bytes", kMaxFrameBytes));
     std::string tail = read_line();
     if (tail.empty()) tail = read_line();
     require(tail == "end", "client: generate frame missing 'end'");
   } else if (resp.fields.count("rows") != 0) {
-    const std::int64_t rows = resp.get_int("rows");
-    resp.rows.reserve(static_cast<std::size_t>(rows));
-    for (std::int64_t i = 0; i < rows; ++i) resp.rows.push_back(read_line());
+    const std::size_t rows = frame_count(resp, "rows", kMaxFrameRows);
+    resp.rows.reserve(rows);
+    for (std::size_t i = 0; i < rows; ++i) resp.rows.push_back(read_line());
     require(read_line() == "end", "client: sweep frame missing 'end'");
   }
   return resp;

@@ -29,17 +29,10 @@ std::vector<std::string> tokens(const std::string& line) {
 
 int parse_int_field(const std::string& key, const std::string& value, int lo,
                     int hi) {
-  try {
-    std::size_t pos = 0;
-    const long v = std::stol(value, &pos);
-    require(pos == value.size(), key + " is not an integer: '" + value + "'");
-    require(v >= lo && v <= hi, key + " out of range: " + value);
-    return static_cast<int>(v);
-  } catch (const UsageError&) {
-    throw;
-  } catch (const std::exception&) {
-    throw UsageError("request: " + key + " is not an integer: '" + value + "'");
-  }
+  if (const auto v = parse_decimal<int>(value, lo, hi)) return *v;
+  throw UsageError("request: " + key + " is not an integer in [" +
+                   std::to_string(lo) + ", " + std::to_string(hi) + "]: '" +
+                   value + "'");
 }
 
 }  // namespace
@@ -189,11 +182,7 @@ std::string Response::get(const std::string& key, const std::string& def) const 
 std::int64_t Response::get_int(const std::string& key, std::int64_t def) const {
   const auto it = fields.find(key);
   if (it == fields.end()) return def;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    return def;
-  }
+  return parse_decimal<std::int64_t>(it->second).value_or(def);
 }
 
 Response parse_response_line(const std::string& line) {

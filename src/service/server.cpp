@@ -88,7 +88,14 @@ Server::Server(ServerOptions opt) : opt_(std::move(opt)) {
   runner_ = std::make_unique<runner::SupervisedRunner>(opt_.supervise);
 }
 
-Server::~Server() { stop(); }
+Server::~Server() {
+  stop();
+  // Closed here, not in stop(): a wait() still polling the read end must
+  // never see its descriptor closed (or reused) under it.
+  for (const int fd : wake_pipe_) {
+    if (fd >= 0) ::close(fd);
+  }
+}
 
 void Server::start() {
   require(!started_.exchange(true), "service: start() called twice");
@@ -129,14 +136,10 @@ void Server::start() {
     throw Error("service: pipe(): " + std::string(std::strerror(errno)));
   }
 
-  pool_thread_ = std::thread([this] {
-    // The service's workers *are* the existing thread pool: one long
-    // parallel_for grid whose every index is a worker loop draining the
-    // admission queue until shutdown.
-    par::ThreadPool pool(opt_.workers);
-    pool.parallel_for(static_cast<std::size_t>(opt_.workers),
-                      [this](std::size_t) { worker_main(); });
-  });
+  workers_.reserve(static_cast<std::size_t>(opt_.workers));
+  for (int i = 0; i < opt_.workers; ++i) {
+    workers_.emplace_back([this] { worker_main(); });
+  }
   acceptor_ = std::thread([this] { acceptor_main(); });
 }
 
@@ -179,11 +182,13 @@ void Server::request_stop() {
 }
 
 void Server::wait() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    struct pollfd pfd{};
-    pfd.fd = wake_pipe_[0];
-    pfd.events = POLLIN;
-    ::poll(&pfd, 1, 100);
+  // Nobody reads the wake pipe, so once request_stop() has written its
+  // byte the pipe stays readable and every poll on it returns at once.
+  struct pollfd pfd{};
+  pfd.fd = wake_pipe_[0];
+  pfd.events = POLLIN;
+  while (pfd.fd >= 0 && !stopping_.load(std::memory_order_acquire)) {
+    ::poll(&pfd, 1, -1);
   }
 }
 
@@ -200,7 +205,7 @@ void Server::stop() {
   // Drain: workers finish everything admitted, so every connection
   // blocked on a response gets one before its socket is shut down.
   admission_->shutdown();
-  if (pool_thread_.joinable()) pool_thread_.join();
+  for (std::thread& w : workers_) w.join();
   std::vector<std::shared_ptr<Conn>> conns;
   {
     std::lock_guard<std::mutex> lk(conns_mu_);
@@ -213,12 +218,6 @@ void Server::stop() {
     if (c->thread.joinable()) c->thread.join();
     if (c->fd >= 0) ::close(c->fd);
   }
-  for (int& fd : wake_pipe_) {
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
-    }
-  }
 }
 
 void Server::acceptor_main() {
@@ -228,7 +227,7 @@ void Server::acceptor_main() {
     pfds[0].events = POLLIN;
     pfds[1].fd = wake_pipe_[0];
     pfds[1].events = POLLIN;
-    if (::poll(pfds, 2, 500) < 0 && errno != EINTR) return;
+    if (::poll(pfds, 2, -1) < 0 && errno != EINTR) return;
     if (stopping_.load(std::memory_order_acquire)) return;
     if (!(pfds[0].revents & POLLIN)) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);

@@ -1,9 +1,9 @@
 // The ATS analysis daemon (docs/SERVICE.md).
 //
 // A persistent server over a local Unix stream socket that accepts
-// generate/analyze/sweep/status requests, schedules them on the existing
-// thread pool (common/parallel.hpp) behind an admission controller, and
-// memoizes results in a crash-consistent cell cache.  The robustness
+// generate/analyze/sweep/status requests, runs them on a fixed set of
+// worker threads behind an admission controller, and memoizes results in
+// a crash-consistent cell cache.  The robustness
 // contract:
 //
 //   * overload sheds (a "shed retry_after_ms=..." response, never an
@@ -45,8 +45,8 @@ struct ServerOptions {
   /// Directory for the cache and in-flight journals; created if missing.
   /// Empty = fully in-memory (no warm restart, no recovery).
   std::string state_dir;
-  /// Worker threads executing admitted requests (the par::ThreadPool
-  /// width).  <= 0 selects par::default_jobs().
+  /// Worker threads executing admitted requests, each draining the
+  /// admission queue until shutdown.  <= 0 selects par::default_jobs().
   int workers = 0;
   /// Bounded queue depth; arrivals beyond it are shed.
   int queue_depth = 64;
@@ -92,10 +92,11 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Recovers interrupted work, then binds the socket and starts the
-  /// acceptor and the worker pool.  Throws ats::Error on bind failure.
+  /// acceptor and the workers.  Throws ats::Error on bind failure.
   void start();
 
-  /// Blocks until a shutdown request or request_stop() arrives.
+  /// Blocks until a shutdown request or request_stop() arrives (returns
+  /// at once if start() has not opened the wake pipe).
   void wait();
 
   /// Signals shutdown (safe to call from any thread; a signal handler
@@ -153,7 +154,7 @@ class Server {
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};
   std::thread acceptor_;
-  std::thread pool_thread_;
+  std::vector<std::thread> workers_;
 
   std::mutex conns_mu_;
   std::vector<std::shared_ptr<Conn>> conns_;

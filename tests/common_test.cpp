@@ -320,6 +320,45 @@ TEST(StrUtil, Hex64RoundTripsAndRejectsNonHex) {
   }
 }
 
+TEST(StrUtil, DecimalIntegersParseWholeFieldsInRange) {
+  EXPECT_EQ(parse_decimal<int>("0"), 0);
+  EXPECT_EQ(parse_decimal<int>("-17"), -17);
+  EXPECT_EQ(parse_decimal<int>("2147483647"), INT32_MAX);
+  EXPECT_EQ(parse_decimal<int>("-2147483648"), INT32_MIN);
+  EXPECT_EQ(parse_decimal<std::int64_t>("-9223372036854775808"), INT64_MIN);
+  EXPECT_EQ(parse_decimal<std::uint64_t>("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parse_decimal<int>("007"), 7);
+  // Out of the type's range: never wrapped or saturated.
+  EXPECT_FALSE(parse_decimal<int>("4294967297"));
+  EXPECT_FALSE(parse_decimal<int>("2147483648"));
+  EXPECT_FALSE(parse_decimal<int>("99999999999999999999"));
+  EXPECT_FALSE(parse_decimal<std::int64_t>("9223372036854775808"));
+  EXPECT_FALSE(parse_decimal<std::uint64_t>("18446744073709551616"));
+  EXPECT_FALSE(parse_decimal<std::uint64_t>("-1"));
+  // Not the whole field.
+  for (const char* bad : {"", "4x", " 4", "4 ", "+4", "0x10", "1.5", "1e3",
+                          "-", "--1"}) {
+    EXPECT_FALSE(parse_decimal<int>(bad)) << "'" << bad << "'";
+  }
+  // Caller bounds are inclusive.
+  EXPECT_EQ(parse_decimal<int>("1", 1), 1);
+  EXPECT_FALSE(parse_decimal<int>("0", 1));
+  EXPECT_EQ(parse_decimal<int>("10", 0, 10), 10);
+  EXPECT_FALSE(parse_decimal<int>("11", 0, 10));
+}
+
+TEST(StrUtil, FiniteDoublesParseWholeFields) {
+  EXPECT_EQ(parse_finite("0.5"), 0.5);
+  EXPECT_EQ(parse_finite("-1e-3"), -1e-3);
+  EXPECT_EQ(parse_finite(".25"), 0.25);
+  EXPECT_EQ(parse_finite("3"), 3.0);
+  EXPECT_EQ(parse_finite("0.005"), 0.005);
+  for (const char* bad : {"", "nan", "NaN", "inf", "-inf", "infinity", "1e999",
+                          "0.5junk", " 0.5", "0.5 ", "+0.5", "0x1p-1", "."}) {
+    EXPECT_FALSE(parse_finite(bad)) << "'" << bad << "'";
+  }
+}
+
 TEST(Error, RequireThrowsUsageError) {
   EXPECT_NO_THROW(require(true, "ok"));
   EXPECT_THROW(require(false, "bad"), UsageError);

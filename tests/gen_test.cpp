@@ -45,6 +45,30 @@ TEST(Params, BadNumbersThrow) {
   EXPECT_THROW(pm.get_double("y", 0), UsageError);
 }
 
+TEST(Params, OutOfRangeAndNonFiniteValuesThrow) {
+  ParamMap pm;
+  pm.set("wraps_to_one", "4294967297");
+  pm.set("saturates", "99999999999999999999");
+  pm.set("nan", "nan");
+  pm.set("inf", "inf");
+  pm.set("trailing", "4x");
+  EXPECT_THROW(pm.get_int("wraps_to_one", 0), UsageError);
+  EXPECT_THROW(pm.get_int("saturates", 0), UsageError);
+  EXPECT_THROW(pm.get_int("trailing", 0), UsageError);
+  EXPECT_THROW(pm.get_double("nan", 0), UsageError);
+  EXPECT_THROW(pm.get_double("inf", 0), UsageError);
+  EXPECT_THROW(parse_distribution("same:val=nan"), UsageError);
+  EXPECT_THROW(parse_distribution("peak:low=0,high=1,n=4294967297"),
+               UsageError);
+  // In-range values still parse as before.
+  pm.set("max", "2147483647");
+  pm.set("neg", "-3");
+  pm.set("small", "1e-3");
+  EXPECT_EQ(pm.get_int("max", 0), 2147483647);
+  EXPECT_EQ(pm.get_int("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(pm.get_double("small", 0), 1e-3);
+}
+
 TEST(Params, CheckAgainstSpecs) {
   const std::vector<ParamSpec> specs{
       {"basework", ParamKind::kDouble, "0.01", ""},

@@ -4,9 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <fstream>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -73,6 +79,79 @@ TEST(ThreadPool, ZeroAndOneCellGrids) {
 
 TEST(ThreadPool, DefaultJobsIsPositive) {
   EXPECT_GE(par::default_jobs(), 1);
+}
+
+TEST(ThreadPool, DefaultJobsIgnoresMalformedAtsJobs) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int fallback = hw > 0 ? static_cast<int>(hw) : 1;
+  const char* prior = std::getenv("ATS_JOBS");
+  const std::string saved = prior ? prior : "";
+  ::setenv("ATS_JOBS", "7", 1);
+  EXPECT_EQ(par::default_jobs(), 7);
+  for (const char* bad : {"7x", "+7", "0", "-3", "99999999999"}) {
+    ::setenv("ATS_JOBS", bad, 1);
+    EXPECT_EQ(par::default_jobs(), fallback) << "ATS_JOBS=" << bad;
+  }
+  if (prior) {
+    ::setenv("ATS_JOBS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("ATS_JOBS");
+  }
+}
+
+/// This process's thread count from /proc/self/status, or -1 where that
+/// file is absent.
+int process_threads() {
+  std::ifstream in("/proc/self/status");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+/// process_threads() once it has settled back to `want`: a joined thread
+/// can outlive its join in the kernel's count for a moment.
+int settled_threads(int want) {
+  int n = process_threads();
+  for (int i = 0; i < 200 && n != want; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    n = process_threads();
+  }
+  return n;
+}
+
+TEST(ThreadPool, HoldsNoThreadsOutsideAGrid) {
+  const int before = process_threads();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status";
+  par::ThreadPool pool(8);
+  EXPECT_EQ(process_threads(), before) << "after constructing ThreadPool(8)";
+  pool.parallel_for(64, [](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  EXPECT_EQ(settled_threads(before), before) << "after the grid returned";
+}
+
+TEST(ThreadPool, GridRunsOnAtMostMinJobsCellsThreads) {
+  par::ThreadPool wide(8);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  wide.parallel_for(1, [&](std::size_t) { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, caller) << "a 1-cell grid runs on the caller's thread";
+
+  for (const auto& [jobs, n] :
+       {std::pair{8, std::size_t{3}}, std::pair{3, std::size_t{200}},
+        std::pair{1, std::size_t{50}}}) {
+    par::ThreadPool pool(jobs);
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    pool.parallel_for(n, [&](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      std::lock_guard<std::mutex> lk(mu);
+      ids.insert(std::this_thread::get_id());
+    });
+    EXPECT_LE(ids.size(), std::min(static_cast<std::size_t>(jobs), n))
+        << "jobs=" << jobs << " n=" << n;
+  }
 }
 
 

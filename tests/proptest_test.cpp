@@ -110,6 +110,15 @@ TEST(ProgramSpec, ParseRejectsUnknownKeys) {
   EXPECT_THROW(ProgramSpec::parse("mode sideways\n"), UsageError);
 }
 
+TEST(ProgramSpec, ParseRejectsOutOfRangeNumbers) {
+  // A negative seed is not wrapped to 2^64 - 1; counts stay in int range.
+  EXPECT_THROW(ProgramSpec::parse("seed -1\n"), UsageError);
+  EXPECT_THROW(ProgramSpec::parse("nprocs 4294967300\n"), UsageError);
+  EXPECT_THROW(ProgramSpec::parse("delay_us 10x\n"), UsageError);
+  EXPECT_EQ(ProgramSpec::parse("seed 18446744073709551615\n").seed,
+            UINT64_MAX);
+}
+
 TEST(ProgramSpec, ComplexityCountsDivergingFields) {
   ProgramSpec base;
   base.property = "late_sender";

@@ -77,6 +77,20 @@ TEST(ServiceProtocol, ResponseParsingSwallowsMsgTail) {
   EXPECT_EQ(r.get("msg"), "unknown property 'nope' (see --list)");
 }
 
+TEST(ServiceProtocol, NumericFieldsAreWholeDecimals) {
+  EXPECT_THROW(parse_request("analyze prop=x np=+4"), UsageError);
+  EXPECT_THROW(parse_request("analyze prop=x np=4x"), UsageError);
+  EXPECT_THROW(parse_request("analyze prop=x np=99999999999999999999"),
+               UsageError);
+  EXPECT_THROW(parse_request("analyze prop=x np=4 deadline_ms=1.5"),
+               UsageError);
+  EXPECT_EQ(parse_request("analyze prop=x np=1048576").np, 1 << 20);
+  const Response r = parse_response_line("ok rows=12abc cached=3 bytes=+5");
+  EXPECT_EQ(r.get_int("rows", -7), -7);  // not a prefix parse
+  EXPECT_EQ(r.get_int("bytes", -7), -7);
+  EXPECT_EQ(r.get_int("cached", -7), 3);
+}
+
 TEST(ServiceProtocol, RequestClassPartition) {
   EXPECT_EQ(request_class(Op::kAnalyze), RequestClass::kAnalyze);
   EXPECT_EQ(request_class(Op::kSweep), RequestClass::kSweep);
@@ -708,6 +722,77 @@ TEST(ServiceServer, OversizedFrameIsRejectedAndConnectionDropped) {
   EXPECT_EQ(client.call("ping").status, Status::kOk);
   EXPECT_GE(server.counters().errors, 1u);
   server.stop();
+}
+
+/// A one-line daemon double: accepts `answers.size()` connections in turn,
+/// reads one request line from each and writes back the matching answer
+/// line, then holds the connection until the client closes it.
+class ScriptedDaemon {
+ public:
+  ScriptedDaemon(std::string path, std::vector<std::string> answers)
+      : path_(std::move(path)) {
+    ::unlink(path_.c_str());
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path_.c_str(), sizeof(addr.sun_path) - 1);
+    listening_ =
+        fd_ >= 0 &&
+        ::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+        ::listen(fd_, 4) == 0;
+    if (!listening_) return;
+    thread_ = std::thread([this, answers = std::move(answers)] {
+      for (const std::string& answer : answers) {
+        const int c = ::accept(fd_, nullptr, nullptr);
+        if (c < 0) return;
+        timeval tv{5, 0};
+        ::setsockopt(c, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+        char ch;
+        while (::recv(c, &ch, 1, 0) == 1 && ch != '\n') {
+        }
+        const std::string line = answer + "\n";
+        [[maybe_unused]] const ssize_t n =
+            ::send(c, line.data(), line.size(), MSG_NOSIGNAL);
+        while (::recv(c, &ch, 1, 0) == 1) {
+        }
+        ::close(c);
+      }
+    });
+  }
+  ScriptedDaemon(const ScriptedDaemon&) = delete;
+  ScriptedDaemon& operator=(const ScriptedDaemon&) = delete;
+  ~ScriptedDaemon() {
+    if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);  // unblocks a pending accept
+    if (thread_.joinable()) thread_.join();
+    if (fd_ >= 0) ::close(fd_);
+    ::unlink(path_.c_str());
+  }
+  bool listening() const { return listening_; }
+
+ private:
+  std::string path_;
+  int fd_ = -1;
+  bool listening_ = false;
+  std::thread thread_;
+};
+
+TEST(ServiceClient, ImplausibleFrameCountsAreClassifiedErrors) {
+  // Each answer announces a frame the client must refuse before it
+  // reserves or reads anything: a classified ats::Error, never
+  // std::length_error from reserve(SIZE_MAX) or an unbounded read.
+  const std::vector<std::string> answers{
+      "ok op=sweep rows=-1", "ok op=sweep rows=99999999999",
+      "ok op=sweep rows=12abc", "ok op=generate bytes=-1",
+      "ok op=generate bytes=99999999999"};
+  const std::string path = sock_path("frames");
+  ScriptedDaemon daemon(path, answers);
+  ASSERT_TRUE(daemon.listening());
+  for (const std::string& answer : answers) {
+    Client client(path);
+    EXPECT_THROW(client.call("sweep prop=late_sender axis=np values=2"),
+                 ats::Error)
+        << answer;
+  }
 }
 
 TEST(ServiceServer, ShutdownRequestStopsTheDaemon) {
